@@ -257,6 +257,8 @@ def _parse_gram_entry(text, field):
             raise CliError("poly entries need Fq coefficients", EXIT_PARSE)
         return field.from_coeffs(coeffs)
     if isinstance(text, str) and "/" in text:
+        if not isinstance(field, Rationals):
+            raise ValueError(f"fraction entry {text!r} needs Q coefficients")
         num, den = text.split("/")
         return Fraction(int(num), int(den))
     if isinstance(field, Rationals):

@@ -8,6 +8,7 @@ leave Z.  No floating point anywhere.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -839,8 +840,11 @@ class SNFResult:
 def smith_normal_form(A: ExactMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    Elementary row/column operations with a smallest-absolute-value pivot,
-    ties broken by position."""
+    First eliminates +-1 pivots (Markowitz-style: sparsest column first,
+    shortest row within it), each contributing an invariant factor 1.
+    The remaining core goes through elementary row/column operations with
+    a smallest-absolute-value pivot, ties broken by position.  Invariant
+    factors are unique, so the pre-pass does not change the result."""
     rows = {}
     cols = {}
     for (r, c), v in A.entries.items():
@@ -882,6 +886,45 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
                 col = cols.get(dst)
                 if col is not None:
                     col.pop(r, None)
+
+    def drop(pr, pc):
+        for c in list(rows.get(pr, {})):
+            col = cols.get(c)
+            if col is not None:
+                col.pop(pr, None)
+        rows.pop(pr, None)
+        for r in list(cols.get(pc, {})):
+            rows.get(r, {}).pop(pc, None)
+        cols.pop(pc, None)
+
+    # Unit pre-pass.  Heap entries carry the column's count when pushed;
+    # a stale entry is pushed again with the current count.  A unit pivot
+    # clears its column by row operations alone, after which its row and
+    # column can be dropped: the column operations that would clear the
+    # row touch no other row.
+    heap = [(len(col), c) for c, col in cols.items()]
+    heapq.heapify(heap)
+    while heap:
+        count, pc = heapq.heappop(heap)
+        col = cols.get(pc)
+        if not col:
+            continue
+        if len(col) != count:
+            heapq.heappush(heap, (len(col), pc))
+            continue
+        pr = min(
+            (r for r in col if rows[r][pc] in (1, -1)),
+            key=lambda r: (len(rows[r]), r),
+            default=None,
+        )
+        if pr is None:
+            continue
+        pv = rows[pr][pc]
+        for r in list(col):
+            if r != pr:
+                add_row(pr, r, -rows[r][pc] * pv)
+        diag.append(1)
+        drop(pr, pc)
 
     while True:
         best = None
@@ -935,15 +978,7 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
             if done:
                 break
         diag.append(abs(rows[pr][pc]))
-        # deactivate pivot row and column
-        for c in list(rows.get(pr, {})):
-            col = cols.get(c)
-            if col is not None:
-                col.pop(pr, None)
-        rows.pop(pr, None)
-        for r in list(cols.get(pc, {})):
-            rows.get(r, {}).pop(pc, None)
-        cols.pop(pc, None)
+        drop(pr, pc)
 
     # repair the divisibility chain
     changed = True

@@ -255,6 +255,10 @@ class IHTable:
         return self.free_ranks is not None
 
     def dim(self, i):
+        if self.is_integral:
+            raise ValueError(
+                "an integral table has no dimensions; use rank() and torsion_at()"
+            )
         if not 0 <= i <= self.n:
             return 0
         return self.dims[i]

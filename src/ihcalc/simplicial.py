@@ -112,18 +112,20 @@ class SimplicialComplex:
         return sum((-1) ** d * len(ss) for d, ss in self.by_dim.items())
 
     def facets(self):
-        """Simplices that are not proper faces of another simplex."""
+        """Simplices that are not proper faces of another simplex.
+
+        By downward closure, a d-simplex is a proper face of some simplex
+        exactly when it is a codimension-1 face of a (d+1)-simplex.  The
+        working set holds the complex's own d-simplices, so the faces
+        generated from the (d+1)-simplices are freed at once.  Order:
+        dimension descending, then `by_dim[d]` iteration order."""
         out = []
         for d in sorted(self.by_dim, reverse=True):
-            for s in self.by_dim[d]:
-                if d == self.dimension or not any(
-                    s < t for dd in self.by_dim if dd > d for t in self.by_dim[dd]
-                ):
-                    out.append(s)
+            uncovered = set(self.by_dim[d])
+            for t in self.by_dim.get(d + 1, ()):
+                uncovered.difference_update([t - {v} for v in t])
+            out.extend(s for s in self.by_dim[d] if s in uncovered)
         return out
-
-    def facets_sorted(self):
-        return sorted(self.facets(), key=simplex_key)
 
     def link(self, s):
         s = frozenset(s)
@@ -139,22 +141,6 @@ class SimplicialComplex:
                     by_dim.setdefault(ld, set()).add(t - s)
         return SimplicialComplex(by_dim)
 
-    def star_closed(self, s):
-        """Closed star of s: all faces of simplices containing s."""
-        s = frozenset(s)
-        top = [t for t in self.facets() if s <= t]
-        if not top:
-            raise SimplicialError(f"{sorted_vertices(s)} is not a simplex")
-        return SimplicialComplex.from_maximal(top)
-
-    def restrict(self, vertex_set):
-        """Full subcomplex on a vertex set."""
-        vs = set(vertex_set)
-        by_dim = {
-            d: {s for s in ss if s <= vs} for d, ss in self.by_dim.items()
-        }
-        return SimplicialComplex(by_dim)
-
     def union(self, other):
         by_dim = {d: set(ss) for d, ss in self.by_dim.items()}
         for d, ss in other.by_dim.items():
@@ -167,26 +153,6 @@ class SimplicialComplex:
             for d, ss in self.by_dim.items()
         }
         return SimplicialComplex(by_dim)
-
-    def is_connected(self):
-        verts = self.vertices
-        if not verts:
-            return True
-        adj = {v: set() for v in verts}
-        for e in self.faces(1):
-            a, b = tuple(e)
-            adj[a].add(b)
-            adj[b].add(a)
-        start = min(verts, key=_canon_key)
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return seen == verts
 
     def relabel(self, mapping):
         by_dim = {}
@@ -279,15 +245,6 @@ class StratifiedComplex:
 
     def singular_locus(self):
         return self.skeleton(self.n - 2)
-
-    def stratum_dimension(self, s):
-        """Smallest i with s in X^i; the stratum containing the interior
-        of s has this dimension."""
-        s = frozenset(s)
-        for i in range(self.n + 1):
-            if s in self.skeleton(i):
-                return i
-        raise SimplicialError(f"{sorted_vertices(s)} is not a simplex")
 
     def relabel(self, mapping):
         return StratifiedComplex(
@@ -743,6 +700,16 @@ def contract_edges(K, protect=()):
                 out.add(t - s)
         return out
 
+    # Vertex links, memoised: contracting b into a changes only the stars
+    # of the vertices of star(b), so only their entries are dropped.
+    vertex_links = {}
+
+    def vertex_link(v):
+        lk = vertex_links.get(v)
+        if lk is None:
+            lk = vertex_links[v] = link_set({v})
+        return lk
+
     changed = True
     while changed:
         changed = False
@@ -755,9 +722,12 @@ def contract_edges(K, protect=()):
                 a, b = b, a
             if b in protect:
                 continue
-            if link_set({a}) & link_set({b}) != link_set(e):
+            if vertex_link(a) & vertex_link(b) != link_set(e):
                 continue
-            for s in list(idx[b]):
+            star_b = list(idx[b])
+            for v in {v for s in star_b for v in s}:
+                vertex_links.pop(v, None)
+            for s in star_b:
                 simplices.discard(s)
                 for v in s:
                     idx[v].discard(s)

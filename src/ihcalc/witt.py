@@ -487,6 +487,8 @@ def characteristic_reduction_check(X, p, m):
 def bordism_group(n, p) -> AbelianGroup:
     """Witt bordism coefficients: the integers in degree 0, the Witt
     group of Z_p in positive degrees divisible by 4, zero elsewhere."""
+    if n < 0:
+        return ZERO_GROUP
     if n == 0:
         return AbelianGroup(free_rank=1)
     if n % 4 != 0:

@@ -1,5 +1,8 @@
 """Catalog construction, validation, and determinism."""
 
+import hashlib
+import json
+
 import pytest
 
 from ihcalc.catalog import (
@@ -48,6 +51,27 @@ def test_triangulated_homology(name):
     rep = verify_pseudomanifold(X)
     assert rep.is_pseudomanifold and rep.irreducible
     assert rep.orientable == ORIENTABLE[name]
+
+
+# Golden triangulations: f-vector and the first 16 hex digits of the
+# sha256 of the sorted simplex list.  Constructions may get faster, but
+# every catalog space must stay the same complex.
+GOLDEN_TRIANGULATIONS = {
+    "L2_1": ((11, 52, 82, 41), "673e6e621fa8b49d"),
+    "L3_1": ((19, 123, 208, 104), "5ee304a77fbbdb9a"),
+    "L5_1": ((22, 156, 268, 134), "14974a273f210fd3"),
+    "J_L3": ((57, 795, 2610, 3120, 1248), "659f54dfa1f4e935"),
+    "CP2": ((17, 116, 324, 370, 148), "cb2455d6b0fc038c"),
+    "CP2#CP2": ((29, 222, 638, 735, 294), "8dfa6794fad634a0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRIANGULATIONS))
+def test_golden_triangulation(name):
+    K = catalog_build(name).complex
+    simplices = sorted(tuple(sorted(s)) for s in K.all_simplices())
+    digest = hashlib.sha256(json.dumps(simplices).encode()).hexdigest()[:16]
+    assert (K.f_vector(), digest) == GOLDEN_TRIANGULATIONS[name]
 
 
 class TestStratifiedEntries:

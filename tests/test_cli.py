@@ -181,6 +181,11 @@ class TestWittClass:
         f = gram_file(tmp_path, {"dimension": 2, "entries": ["1", "0", "0"]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
 
+    def test_fraction_needs_rationals(self, tmp_path, capsys):
+        f = gram_file(tmp_path, {"dimension": 1, "entries": ["1/2"]})
+        assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
 
 class TestBordism:
     def test_point_groups(self, capsys):
@@ -196,6 +201,11 @@ class TestBordism:
 
     def test_composite_prime_rejected(self, capsys):
         assert main(["bordism", "--n", "4", "--p", "6"]) == 2
+
+    def test_negative_degree_is_trivial(self, capsys):
+        assert main(["bordism", "--n", "-4", "--p", "3", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["group"]["description"] == "0"
 
     def test_splitting_from_space(self, tmp_path, capsys):
         circle = {"dimension": 1,

@@ -1,6 +1,9 @@
 """Exact linear algebra and finite field arithmetic."""
 
 import random
+from fractions import Fraction
+from itertools import combinations, permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,6 +26,9 @@ from ihcalc.exactalg import (
     smith_normal_form,
     solve_columns,
 )
+from ihcalc.catalog import catalog_build
+from ihcalc.ihcore import boundary_chain
+from ihcalc.simplicial import simplex_key
 
 
 def test_is_prime_small():
@@ -198,6 +204,84 @@ class TestSmithNormalForm:
 
     def test_zero_matrix(self):
         assert smith_normal_form(ExactMatrix(3, 2)).rank == 0
+
+    def test_unit_prepass_leaves_nonunit_core(self):
+        # the +-1 pivots clear the first column; the core diag(-2, 3) has
+        # no unit entry and goes through the general loop
+        A = ExactMatrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, 3]])
+        assert smith_normal_form(A).invariant_factors == (1, 1, 6)
+
+    def test_j_l3_second_boundary_torsion(self):
+        # D_2 of L(3,1) x S1: sparse, almost all unit pivots, torsion Z/3
+        K = catalog_build("J_L3").complex
+        edges = {e: r for r, e in enumerate(sorted(K.faces(1), key=simplex_key))}
+        entries = {}
+        for c, t in enumerate(sorted(K.faces(2), key=simplex_key)):
+            for f, sign in boundary_chain(t):
+                entries[(edges[f], c)] = sign
+        A = ExactMatrix(len(edges), len(K.faces(2)), entries)
+        s = smith_normal_form(A)
+        assert s.torsion == (3,)
+        # rank D_2 = dim Z_1 - b_1, with dim Z_1 = E - V + 1 and b_1 = 1
+        assert s.rank == len(K.faces(1)) - len(K.faces(0))
+
+    def test_integral_fraction_accepted(self):
+        A = ExactMatrix.from_rows([[Fraction(2), 0], [0, Fraction(3, 1)]])
+        assert smith_normal_form(A).invariant_factors == (1, 6)
+
+    def test_non_integer_fraction_rejected(self):
+        A = ExactMatrix.from_rows([[1, 0], [0, Fraction(1, 2)]])
+        with pytest.raises(CoefficientError):
+            smith_normal_form(A)
+
+
+def _det(rows):
+    n = len(rows)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(
+            1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j]
+        )
+        term = (-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= rows[i][j]
+        total += term
+    return total
+
+
+def determinantal_invariant_factors(rows):
+    """Oracle: d_k = D_k / D_(k-1), where D_k is the gcd of all k x k
+    minors, for k up to the rank."""
+    m, n = len(rows), len(rows[0])
+    out = []
+    prev = 1
+    for k in range(1, min(m, n) + 1):
+        g = 0
+        for rs in combinations(range(m), k):
+            for cs in combinations(range(n), k):
+                g = gcd(g, _det([[rows[r][c] for c in cs] for r in rs]))
+        if g == 0:
+            break
+        out.append(g // prev)
+        prev = g
+    return tuple(out)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            min_size=1,
+            max_size=4,
+        )
+    )
+)
+def test_smith_normal_form_matches_determinantal_divisors(rows):
+    s = smith_normal_form(ExactMatrix.from_rows(rows))
+    want = determinantal_invariant_factors(rows)
+    assert s.invariant_factors == want
+    assert s.rank == len(want)
 
 
 @settings(max_examples=60, deadline=None)

@@ -115,6 +115,11 @@ class TestConeTables:
         for i in (2, 3):
             assert t.rank(i) == 0 and t.torsion_at(i) == ()
 
+    def test_integral_table_has_no_dim(self):
+        t = ih_homology(catalog_build("cone_RP2"), Perversity.lower_middle(3), INTEGERS)
+        with pytest.raises(ValueError, match=r"rank\(\) and torsion_at\(\)"):
+            t.dim(1)
+
     def test_mod_two(self):
         X = catalog_build("cone_RP2")
         t = ih_homology(X, Perversity.lower_middle(3), PrimeField(2))

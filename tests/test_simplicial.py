@@ -1,6 +1,7 @@
 """Simplicial complexes, stratifications, and constructions."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihcalc.exactalg import INTEGERS, PrimeField, RATIONALS
 from ihcalc.ihcore import Perversity, ih_homology, ordinary_homology
@@ -64,6 +65,30 @@ class TestComplexBasics:
         K2, _ = relabel_canonical(K)
         assert K2.f_vector() == K.f_vector()
         assert all(isinstance(v, int) for v in K2.vertices)
+
+
+def brute_force_facets(K):
+    """The definition: simplices that are a proper face of no simplex."""
+    out = []
+    for d in sorted(K.by_dim, reverse=True):
+        for s in K.by_dim[d]:
+            if not any(s < t for dd in K.by_dim if dd > d for t in K.by_dim[dd]):
+                out.append(s)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_facets_match_definition(generators):
+    # generators of mixed sizes, some nested, give impure complexes
+    K = SimplicialComplex.from_maximal(generators)
+    assert K.facets() == brute_force_facets(K)
 
 
 class TestVerification:

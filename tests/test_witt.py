@@ -364,6 +364,11 @@ class TestBordism:
         assert bordism_group(4, 5) == AbelianGroup(0, (2, 2))
         assert bordism_group(4, 2) == AbelianGroup(0, (2,))
 
+    def test_negative_degrees_are_trivial(self):
+        # -4 % 4 == 0 must not make a negative degree look like 4k
+        for n in (-1, -4, -8):
+            assert bordism_group(n, 3).is_trivial
+
 
 class TestCatalogClasses:
     def test_signatures_over_q(self):
