@@ -9,7 +9,7 @@ so downstream computations never run on a miscooked triangulation.
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
-from .exactalg import INTEGERS, PrimeField, RATIONALS, make_field
+from .exactalg import INTEGERS, coeff_from_label
 from .formulas import (
     compactified_bundle_formula,
     kunneth,
@@ -339,17 +339,6 @@ def catalog_build(name) -> StratifiedComplex:
 # --- formula-level entries ----------------------------------------------------
 
 
-def _coeff_from_label(label):
-    if label == "Q":
-        return RATIONALS
-    if label == "Z":
-        return INTEGERS
-    if label.startswith("F"):
-        p, m = label[1:].split("^")
-        return make_field(int(p), int(m))
-    return PrimeField(int(label[1:]))
-
-
 def _base_table(dims, label):
     return IHTable(coeff_label=label, n=len(dims) - 1, dims=tuple(dims))
 
@@ -371,7 +360,7 @@ def _table_X8_SJ(pbar, coeff_label):
 
     sj = catalog_build("SJ_L3")
     sub = Perversity(pbar.values[:4], 5)
-    sj_table = ih_homology(sj, sub, _coeff_from_label(coeff_label))
+    sj_table = ih_homology(sj, sub, coeff_from_label(coeff_label))
     man = _base_table((1, 1, 1, 1), coeff_label)
     return kunneth(sj_table, man)
 

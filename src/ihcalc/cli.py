@@ -166,13 +166,11 @@ def _table_lines(table: IHTable):
 def cmd_compute(args):
     coeff = parse_coefficients(args.coeff)
     if args.catalog and args.catalog in _FORMULA_BUILDERS:
-        from .ihcore import _coeff_label
-
         if coeff is INTEGERS:
             raise CliError("formula entries need field coefficients", EXIT_PARSE)
         dim = catalog_entry(args.catalog).dimension
         pbar = parse_perversity(args.perversity, dim)
-        table = catalog_table(args.catalog, pbar, _coeff_label(coeff))
+        table = catalog_table(args.catalog, pbar, coeff.label)
         source = f"catalog:{args.catalog} (formula)"
     else:
         X = _resolve_space(args)

@@ -3,7 +3,8 @@
 Everything here is exact: rationals use arbitrary-precision fractions,
 finite fields use table-driven arithmetic on integer-encoded elements,
 and integer computations (Smith normal form, integer kernels) never
-leave Z.  No floating point anywhere.
+leave Z.  No floating point anywhere.  Rank, kernel and solve run one
+sparse elimination in the prime field of the coefficients.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 
 class CoefficientError(ValueError):
@@ -41,9 +42,9 @@ def is_prime(n: int) -> bool:
 class Rationals:
     """The field Q.  Elements are Fraction instances."""
 
+    label = "Q"
     char = 0
     order = None
-    is_field = True
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -80,9 +81,9 @@ class Rationals:
 class Integers:
     """The ring Z.  Not a field; rank/kernel ops reject it."""
 
+    label = "Z"
     char = 0
     order = None
-    is_field = False
     zero = 0
     one = 1
 
@@ -102,12 +103,11 @@ class Integers:
 class PrimeField:
     """Z_p for a prime p.  Elements are ints in [0, p)."""
 
-    is_field = True
-
     def __init__(self, p: int):
         if not is_prime(p):
             raise CoefficientError(f"{p} is not prime")
         self.p = p
+        self.label = f"Z{p}"
         self.char = p
         self.order = p
         self.zero = 0
@@ -224,7 +224,6 @@ class FiniteField:
     precomputed, so arithmetic is a list lookup.
     """
 
-    is_field = True
     _TABLE_LIMIT = 512
 
     def __init__(self, p: int, m: int, modulus=None):
@@ -242,6 +241,7 @@ class FiniteField:
         self.p = p
         self.m = m
         self.modulus = modulus
+        self.label = f"F{p}^{m}"
         self.char = p
         self.order = p**m
         self.zero = 0
@@ -375,6 +375,23 @@ RATIONALS = Rationals()
 INTEGERS = Integers()
 
 
+def coeff_from_label(label):
+    """The coefficient ring with this `label`: Q, Z, Z<p> or F<p>^<m>."""
+    if label == "Q":
+        return RATIONALS
+    if label == "Z":
+        return INTEGERS
+    try:
+        if label.startswith("Z"):
+            return PrimeField(int(label[1:]))
+        if label.startswith("F"):
+            p, m = label[1:].split("^")
+            return make_field(int(p), int(m))
+    except ValueError:
+        pass
+    raise CoefficientError(f"not a coefficient label: {label!r}")
+
+
 def is_square(a, field) -> bool:
     """True iff a is a nonzero square in the finite field."""
     if not isinstance(field, (PrimeField, FiniteField)):
@@ -410,8 +427,9 @@ def smallest_nonsquare(field):
 
 class ExactMatrix:
     """Sparse matrix with exact scalar entries.  Zero entries are never
-    stored.  Entry semantics depend on the ambient coefficient ring:
-    ints for Z / Z_p / F_{p^m} (encoded), Fraction or int for Q."""
+    stored.  Entries are ints, or Fractions over Q; the elimination
+    routines read an int as an integer, so over F_{p^m} as an element of
+    the prime field."""
 
     __slots__ = ("nrows", "ncols", "entries")
 
@@ -441,12 +459,6 @@ class ExactMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def to_rows(self):
-        rows = [[0] * self.ncols for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def row_dicts(self):
         rows = [dict() for _ in range(self.nrows)]
         for (r, c), v in self.entries.items():
@@ -458,11 +470,6 @@ class ExactMatrix:
         for (r, c), v in self.entries.items():
             cols[c][r] = v
         return cols
-
-    def transpose(self):
-        return ExactMatrix(
-            self.ncols, self.nrows, {(c, r): v for (r, c), v in self.entries.items()}
-        )
 
     def __eq__(self, other):
         return (
@@ -476,204 +483,133 @@ class ExactMatrix:
         return f"ExactMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
 
 
-# --- rank ------------------------------------------------------------------
+# --- elimination ---------------------------------------------------------
 
 
-def _rank_modp(rows, p):
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = dict(row)
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                f = pow(row[c], p - 2, p)
-                row = {cc: (v * f) % p for cc, v in row.items()}
-                pivots[c] = row
-                rank += 1
-                break
-            f = row[c]
-            for cc, v in prow.items():
-                nv = (row.get(cc, 0) - f * v) % p
-                if nv:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-        # empty row: dependent
-    return rank
+def prime_field(coeff):
+    """The prime field that eliminations over `coeff` run in: Q for Q,
+    Z_p for Z_p and for F_{p^m}.
+
+    An integer matrix has the same rank over F_{p^m} as over Z_p, and its
+    kernel is spanned by the same vectors; an int in [0, p) already
+    encodes that prime-subfield element of F_{p^m}."""
+    if isinstance(coeff, Integers):
+        raise CoefficientError("rank over Z is ambiguous; use smith_normal_form")
+    if isinstance(coeff, (Rationals, PrimeField)):
+        return coeff
+    if isinstance(coeff, FiniteField):
+        return PrimeField(coeff.p)
+    raise CoefficientError(f"unsupported coefficients {coeff!r}")
 
 
-def _rank_generic(rows, field):
-    mul, sub, inv = field.mul, field.sub, field.inv
-    zero = field.zero
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = {c: v for c, v in row.items() if v != zero}
-        while row:
-            c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                f = inv(row[c])
-                row = {cc: mul(v, f) for cc, v in row.items()}
-                pivots[c] = row
-                rank += 1
-                break
-            f = row[c]
-            for cc, v in prow.items():
-                nv = sub(row.get(cc, zero), mul(f, v))
-                if nv != zero:
-                    row[cc] = nv
-                else:
-                    row.pop(cc, None)
-    return rank
+def _sub_multiple(x, f, y, p):
+    """x -= f * y mod p, in place, on sparse dicts."""
+    for k, v in y.items():
+        nv = (x.get(k, 0) - f * v) % p
+        if nv:
+            x[k] = nv
+        else:
+            x.pop(k, None)
 
 
-def _row_to_int(row):
-    """Clear denominators and strip content from a row of Fractions/ints."""
-    if not row:
-        return row
-    denom = 1
-    for v in row.values():
-        if isinstance(v, Fraction):
-            denom = denom * v.denominator // gcd(denom, v.denominator)
+def _cross(fa, x, fb, y):
+    """fa * x - fb * y on sparse integer dicts."""
     out = {}
-    for c, v in row.items():
-        out[c] = int(v * denom)
-    g = 0
-    for v in out.values():
-        g = gcd(g, v)
-    if g > 1:
-        out = {c: v // g for c, v in out.items()}
+    for k in x.keys() | y.keys():
+        v = fa * x.get(k, 0) - fb * y.get(k, 0)
+        if v:
+            out[k] = v
     return out
 
 
-def _rank_fraction_free(rows):
-    """Rank over Q by integer-preserving elimination: rows are cleared to
-    integer content, and eliminations use cross-multiplication followed by
-    content removal.  No fractions appear at any point."""
-    pivots = {}
-    rank = 0
-    for row in rows:
-        row = _row_to_int({c: v for c, v in row.items() if v})
+def _echelon(vectors, p, traced=False):
+    """Sparse elimination of `vectors` (dicts {index: value}) in input
+    order, each pivoting on its lowest index.
+
+    For a prime p it works mod p and scales each pivot to 1.  For p == 0
+    it is fraction-free over Z: denominators are cleared once, steps
+    cross-multiply, and each vector and its trace are divided by their
+    common content.  Returns the input positions of the independent
+    vectors and, when traced, {position: trace} for every dependent
+    vector, where sum(trace[j] * vectors[j]) == 0."""
+    pivots = {}  # lowest index -> (vector, trace)
+    independent = []
+    relations = {}
+    for j, vec in enumerate(vectors):
+        if p:
+            row = {c: v % p for c, v in vec.items() if v % p}
+            trace = {j: 1} if traced else None
+        else:
+            denom = lcm(
+                *(v.denominator for v in vec.values() if isinstance(v, Fraction))
+            )
+            row = {c: int(v * denom) for c, v in vec.items() if v}
+            g = gcd(*row.values(), denom if traced else 0)
+            if g > 1:
+                row = {c: v // g for c, v in row.items()}
+            trace = {j: denom // g} if traced else None
         while row:
             c = min(row)
-            prow = pivots.get(c)
-            if prow is None:
-                pivots[c] = row
-                rank += 1
+            piv = pivots.get(c)
+            if piv is None:
+                if p:
+                    f = pow(row[c], p - 2, p)
+                    row = {cc: v * f % p for cc, v in row.items()}
+                    if traced:
+                        trace = {jj: v * f % p for jj, v in trace.items()}
+                pivots[c] = (row, trace)
+                independent.append(j)
                 break
+            prow, ptrace = piv
+            if p:
+                f = row[c]
+                _sub_multiple(row, f, prow, p)
+                if traced:
+                    _sub_multiple(trace, f, ptrace, p)
+                continue
             a, b = row[c], prow[c]
             g = gcd(a, b)
             fa, fb = b // g, a // g
-            new = {}
-            for cc in set(row) | set(prow):
-                nv = fa * row.get(cc, 0) - fb * prow.get(cc, 0)
-                if nv:
-                    new[cc] = nv
-            g2 = 0
-            for v in new.values():
-                g2 = gcd(g2, v)
-            if g2 > 1:
-                new = {cc: v // g2 for cc, v in new.items()}
-            row = new
-    return rank
+            row = _cross(fa, row, fb, prow)
+            g = gcd(*row.values())
+            if traced:
+                trace = _cross(fa, trace, fb, ptrace)
+                g = gcd(g, *trace.values())
+                if g > 1:
+                    trace = {jj: v // g for jj, v in trace.items()}
+            if g > 1:
+                row = {cc: v // g for cc, v in row.items()}
+        else:
+            relations[j] = trace
+    return independent, relations
+
+
+def _quotient(a, s, p):
+    """a / s in the prime field of characteristic p."""
+    if p:
+        return a * pow(s, p - 2, p) % p
+    return Fraction(a, s)
 
 
 def rank(A: ExactMatrix, coeff) -> int:
     """Rank of A over a coefficient field."""
-    if isinstance(coeff, Integers):
-        raise CoefficientError("rank over Z is ambiguous; use smith_normal_form")
-    if not getattr(coeff, "is_field", False):
-        raise CoefficientError("rank requires a field")
-    rows = A.row_dicts()
-    rows = [r for r in rows if r]
-    if isinstance(coeff, PrimeField):
-        p = coeff.p
-        reduced = []
-        for r in rows:
-            rr = {c: v % p for c, v in r.items()}
-            rr = {c: v for c, v in rr.items() if v}
-            if rr:
-                reduced.append(rr)
-        return _rank_modp(reduced, p)
-    if isinstance(coeff, Rationals):
-        return _rank_fraction_free(rows)
-    if isinstance(coeff, FiniteField):
-        lift = [
-            {c: coeff.from_int(v) if isinstance(v, int) else v for c, v in r.items()}
-            for r in rows
-        ]
-        return _rank_generic(lift, coeff)
-    raise CoefficientError(f"unsupported coefficients {coeff!r}")
-
-
-def rank_columns(cols, nrows, coeff):
-    """Rank of the matrix whose columns are the given dicts {row: value}.
-
-    Convenience wrapper used by the homology engines, which naturally
-    produce boundary columns."""
-    entries = {}
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            entries[(r, j)] = v
-    return rank(ExactMatrix(nrows, len(cols), entries), coeff)
-
-
-# --- kernels ---------------------------------------------------------------
+    p = prime_field(coeff).char
+    return len(_echelon([r for r in A.row_dicts() if r], p)[0])
 
 
 def kernel_basis(A: ExactMatrix, coeff):
-    """Basis of ker A over a field, as dense lists of length ncols."""
-    if not getattr(coeff, "is_field", False):
-        raise CoefficientError("kernel_basis requires a field")
-    if isinstance(coeff, PrimeField):
-        field = coeff
-        norm = lambda v: v % field.p
-    elif isinstance(coeff, Rationals):
-        field = coeff
-        norm = lambda v: Fraction(v)
-    else:
-        field = coeff
-        norm = lambda v: field.from_int(v) if isinstance(v, int) else v
-    zero, one = field.zero, field.one
-    mul, sub, inv, neg = field.mul, field.sub, field.inv, field.neg
-
-    cols = A.col_dicts()
-    pivots = {}  # row -> (column dict, trace dict)
+    """Basis of ker A over a field, as dense lists of length ncols: one
+    vector per column that depends on the columns before it, with
+    coefficient 1 on that column."""
+    field = prime_field(coeff)
+    p = field.char
+    _, relations = _echelon(A.col_dicts(), p, traced=True)
     kernel = []
-    for j in range(A.ncols):
-        col = {r: norm(v) for r, v in cols[j].items() if norm(v) != zero}
-        trace = {j: one}
-        while col:
-            r = min(col)
-            piv = pivots.get(r)
-            if piv is None:
-                f = inv(col[r])
-                col = {rr: mul(v, f) for rr, v in col.items()}
-                trace = {jj: mul(v, f) for jj, v in trace.items()}
-                pivots[r] = (col, trace)
-                break
-            pcol, ptrace = piv
-            f = col[r]
-            for rr, v in pcol.items():
-                nv = sub(col.get(rr, zero), mul(f, v))
-                if nv != zero:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
-            for jj, v in ptrace.items():
-                nv = sub(trace.get(jj, zero), mul(f, v))
-                if nv != zero:
-                    trace[jj] = nv
-                else:
-                    trace.pop(jj, None)
-        else:
-            vec = [zero] * A.ncols
-            for jj, v in trace.items():
-                vec[jj] = v
-            kernel.append(vec)
+    for j, trace in relations.items():
+        vec = [field.zero] * A.ncols
+        for jj, v in trace.items():
+            vec[jj] = _quotient(v, trace[j], p)
+        kernel.append(vec)
     return kernel
 
 
@@ -744,82 +680,24 @@ def solve_columns(basis_cols, target_cols, coeff):
     Returns a list of dicts {basis index: coefficient}.  Raises if a target
     is not in the span.  Over Integers, solves with exact rationals and
     checks integrality (valid for saturated bases)."""
-    field = RATIONALS if isinstance(coeff, Integers) else coeff
-    if not getattr(field, "is_field", False):
-        raise CoefficientError("solve_columns requires a field or Z")
-    zero = field.zero
-    mul, sub, inv = field.mul, field.sub, field.inv
-    if isinstance(field, Rationals):
-        norm = lambda v: Fraction(v)
-    elif isinstance(field, PrimeField):
-        norm = lambda v: v % field.p
-    else:
-        norm = lambda v: field.from_int(v) if isinstance(v, int) else v
-
-    # echelonize basis columns, remembering the elimination recipe
-    pivots = {}  # row -> (column dict, trace over basis indices)
-    for j, raw in enumerate(basis_cols):
-        col = {r: norm(v) for r, v in raw.items() if norm(v) != zero}
-        trace = {j: field.one}
-        while col:
-            r = min(col)
-            piv = pivots.get(r)
-            if piv is None:
-                f = inv(col[r])
-                pivots[r] = (
-                    {rr: mul(v, f) for rr, v in col.items()},
-                    {jj: mul(v, f) for jj, v in trace.items()},
-                )
-                break
-            pcol, ptrace = piv
-            f = col[r]
-            for rr, v in pcol.items():
-                nv = sub(col.get(rr, zero), mul(f, v))
-                if nv != zero:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
-            for jj, v in ptrace.items():
-                nv = sub(trace.get(jj, zero), mul(f, v))
-                if nv != zero:
-                    trace[jj] = nv
-                else:
-                    trace.pop(jj, None)
-        else:
-            raise CoefficientError("basis columns are dependent")
-
+    p = 0 if isinstance(coeff, Integers) else prime_field(coeff).char
+    k = len(basis_cols)
+    _, relations = _echelon(list(basis_cols) + list(target_cols), p, traced=True)
+    if any(j < k for j in relations):
+        raise CoefficientError("basis columns are dependent")
     results = []
-    for raw in target_cols:
-        col = {r: norm(v) for r, v in raw.items() if norm(v) != zero}
+    for t in range(k, k + len(target_cols)):
+        trace = relations.get(t)
+        if trace is None:
+            raise CoefficientError("target not in span of basis")
         coords = {}
-        while col:
-            r = min(col)
-            piv = pivots.get(r)
-            if piv is None:
-                raise CoefficientError("target not in span of basis")
-            pcol, ptrace = piv
-            f = col[r]
-            for rr, v in pcol.items():
-                nv = sub(col.get(rr, zero), mul(f, v))
-                if nv != zero:
-                    col[rr] = nv
-                else:
-                    col.pop(rr, None)
-            for jj, v in ptrace.items():
-                nv = field.add(coords.get(jj, zero), mul(f, v))
-                if nv != zero:
-                    coords[jj] = nv
-                else:
-                    coords.pop(jj, None)
+        for jj, v in trace.items():
+            if jj != t:
+                coords[jj] = _quotient(-v, trace[t], p)
         if isinstance(coeff, Integers):
-            out = {}
-            for jj, v in coords.items():
-                if isinstance(v, Fraction):
-                    if v.denominator != 1:
-                        raise CoefficientError("non-integral solution")
-                    v = v.numerator
-                out[jj] = v
-            coords = out
+            if any(v.denominator != 1 for v in coords.values()):
+                raise CoefficientError("non-integral solution")
+            coords = {jj: v.numerator for jj, v in coords.items()}
         results.append(coords)
     return results
 

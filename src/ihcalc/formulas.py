@@ -9,6 +9,7 @@ reach spaces too large to triangulate.
 import warnings
 from math import gcd
 
+from .exactalg import CoefficientError, coeff_from_label
 from .ihcore import IHTable, Perversity, PerversityError
 from .witt import AbelianGroup, ZERO_GROUP, bordism_group
 
@@ -57,16 +58,6 @@ def suspension_formula(base_table: IHTable, n: int, pbar: Perversity) -> IHTable
     return _field_table(base_table.coeff_label, dims)
 
 
-def _char_of_label(label):
-    if label == "Q":
-        return 0
-    if label.startswith("F"):
-        return int(label[1:].split("^")[0])
-    if label.startswith("Z") and label != "Z":
-        return int(label[1:])
-    raise FormulaError(f"not a field label: {label}")
-
-
 def compactified_bundle_formula(base_table: IHTable, r: int, e: int,
                                 pbar: Perversity) -> IHTable:
     """Homology of the cone-compactified total space of a rank-r disk
@@ -84,7 +75,10 @@ def compactified_bundle_formula(base_table: IHTable, r: int, e: int,
     n = m + r
     if pbar.n < n:
         raise PerversityError(f"perversity undefined at codimension {n}")
-    char = _char_of_label(base_table.coeff_label)
+    try:
+        char = coeff_from_label(base_table.coeff_label).char
+    except CoefficientError as e:
+        raise FormulaError(str(e)) from None
     transition = n - pbar(n) - 1
     if base_table.dims not in {(1, 0, 1), (1, 2, 1)}:
         warnings.warn("transition-term model unverified for this base",

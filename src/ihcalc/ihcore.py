@@ -4,22 +4,24 @@ The chain groups are assembled per coefficient ring: over a field, the
 allowable chains with allowable boundary form a subspace of the span of
 allowable simplices; over the integers they form a lattice.  The two are
 genuinely different objects (the integral complex tensored with a field
-is not the field-coefficient complex), so nothing here ever tensors.
+is not the field-coefficient complex), so nothing here tensors from Z.
+
+Field extension is flat, so the complex over F_{p^m} is the complex over
+Z_p tensored up: F_{p^m} tables are computed in the prime field Z_p and
+keep their own label.  Integral torsion comes from one Smith normal form
+per degree, of the boundaries of the chain lattice in face coordinates.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .exactalg import (
     ExactMatrix,
-    FiniteField,
     Integers,
     INTEGERS,
     PrimeField,
-    RATIONALS,
-    Rationals,
     integer_kernel_basis,
     kernel_basis,
+    prime_field,
     rank,
     smith_normal_form,
     solve_columns,
@@ -128,16 +130,13 @@ def allowable(s, i, pbar, X: StratifiedComplex):
     s = frozenset(s)
     if len(s) - 1 != i:
         raise PerversityError(f"simplex has dimension {len(s) - 1}, not {i}")
-    n = X.n
-    for k in range(2, n + 1):
-        skel = X.skeleton(n - k)
-        if skel.dimension < 0:
-            continue
-        verts = skel.vertices
+    return _is_allowable(s, i, pbar, _skeleton_vertex_sets(X))
+
+
+def _is_allowable(s, i, pbar, bounds):
+    for k, verts in bounds:
         c = sum(1 for v in s if v in verts)
-        if c == 0:
-            continue
-        if c - 1 > i - k + pbar(k):
+        if c > 0 and c - 1 > i - k + pbar(k):
             return False
     return True
 
@@ -158,16 +157,7 @@ def _allowable_simplices(X, pbar):
     bounds = _skeleton_vertex_sets(X)
     out = []
     for i in range(n + 1):
-        good = []
-        for s in X.complex.faces(i):
-            ok = True
-            for k, verts in bounds:
-                c = sum(1 for v in s if v in verts)
-                if c > 0 and c - 1 > i - k + pbar(k):
-                    ok = False
-                    break
-            if ok:
-                good.append(s)
+        good = [s for s in X.complex.faces(i) if _is_allowable(s, i, pbar, bounds)]
         out.append(sorted(good, key=simplex_key))
     return out
 
@@ -287,7 +277,10 @@ class IHTable:
         if d == 0:
             return "0"
         base = self.coeff_label
-        return base if d == 1 else f"{base}^{d}"
+        if d == 1:
+            return base
+        # F3^2 squared prints as (F3^2)^2, not F3^2^2
+        return f"({base})^{d}" if "^" in base else f"{base}^{d}"
 
     def as_dict(self):
         out = {"coefficients": self.coeff_label, "degrees": {}}
@@ -306,25 +299,14 @@ class IHTable:
         return out
 
 
-def _coeff_label(coeff):
-    if isinstance(coeff, Rationals):
-        return "Q"
-    if isinstance(coeff, Integers):
-        return "Z"
-    if isinstance(coeff, PrimeField):
-        return f"Z{coeff.p}"
-    if isinstance(coeff, FiniteField):
-        return f"F{coeff.p}^{coeff.m}"
-    raise PerversityError(f"unsupported coefficients {coeff!r}")
-
-
 def _field_table(data, coeff):
     n = data.n
+    field = prime_field(coeff)
     rank_D = [0] * (n + 2)
     rank_B = [0] * (n + 2)
     for i in range(1, n + 1):
-        rank_D[i] = rank(data.D[i], coeff)
-        rank_B[i] = rank(data.B[i], coeff)
+        rank_D[i] = rank(data.D[i], field)
+        rank_B[i] = rank(data.B[i], field)
     dims = []
     chain_dims = []
     for i in range(n + 1):
@@ -335,7 +317,7 @@ def _field_table(data, coeff):
             h = len(data.A[0]) - rank_D[1] + rank_B[1]
         dims.append(h)
     return IHTable(
-        coeff_label=_coeff_label(coeff),
+        coeff_label=coeff.label,
         n=n,
         dims=tuple(dims),
         chain_dims=tuple(chain_dims),
@@ -343,68 +325,56 @@ def _field_table(data, coeff):
 
 
 def _integral_table(data):
+    """Integral table from one Smith normal form per degree.
+
+    The cycles of the lattice L_i = Z^{A_i} & ker B_i are saturated in
+    Z^{A_i}, so the torsion of H_i is that of Z^{A_i} modulo the
+    boundaries D_{i+1} U_{i+1} of a basis U_{i+1} of L_{i+1}, in face
+    coordinates; the same normal form gives the boundary rank."""
     n = data.n
-    # Lattice basis of the intersection chains in each degree: the
-    # integer kernel of the bad-row boundary (saturated by construction).
-    U = []
-    for i in range(n + 1):
-        if i == 0:
-            U.append([
-                [1 if j == t else 0 for j in range(len(data.A[0]))]
-                for t in range(len(data.A[0]))
-            ])
-        else:
-            U.append(integer_kernel_basis(data.B[i]))
-    # Boundary in lattice coordinates.
-    M = [None] * (n + 2)
+    # U[i]: basis of L_i, the integer kernel of the bad-row boundary
+    # (saturated by construction).
+    a0 = len(data.A[0])
+    U = [[[int(j == t) for j in range(a0)] for t in range(a0)]]
     for i in range(1, n + 1):
-        if not U[i] or not U[i - 1]:
-            M[i] = ExactMatrix(len(U[i - 1]), len(U[i]))
-            continue
+        U.append(integer_kernel_basis(data.B[i]))
+    mats = [None] * (n + 1)
+    for i in range(1, n + 1):
         Dcols = data.D[i].col_dicts()
-        pos = {r: t for t, r in enumerate(data.allow_rows[i])}
-        targets = []
-        for u in U[i]:
+        good = set(data.allow_rows[i])
+        entries = {}
+        for j, u in enumerate(U[i]):
             chain = {}
-            for j, c in enumerate(u):
-                if not c:
-                    continue
-                for r, v in Dcols[j].items():
-                    chain[r] = chain.get(r, 0) + c * v
-            tgt = {}
+            for t, c in enumerate(u):
+                if c:
+                    for r, v in Dcols[t].items():
+                        chain[r] = chain.get(r, 0) + c * v
             for r, v in chain.items():
                 if v:
-                    if r not in pos:
+                    if r not in good:
                         raise PerversityError("boundary leaked onto a bad face")
-                    tgt[pos[r]] = v
-            targets.append(tgt)
-        basis_cols = [
-            {t: c for t, c in enumerate(u) if c} for u in U[i - 1]
-        ]
-        sols = solve_columns(basis_cols, targets, INTEGERS)
-        entries = {}
-        for j, sol in enumerate(sols):
-            for r, v in sol.items():
-                if v:
                     entries[(r, j)] = v
-        M[i] = ExactMatrix(len(U[i - 1]), len(U[i]), entries)
-    free = []
-    tors = []
-    snfs = [None] * (n + 2)
+        mats[i] = ExactMatrix(data.D[i].nrows, len(U[i]), entries)
+    return _smith_table([len(u) for u in U], mats)
+
+
+def _smith_table(sizes, mats):
+    """Integral table of a complex of free groups of the given ranks,
+    from one Smith normal form of each boundary mats[i], i = 1..n, given
+    in coordinates in which the cycles are saturated."""
+    n = len(sizes) - 1
+    ranks = [0] * (n + 2)
+    tors = [()] * (n + 1)
     for i in range(1, n + 1):
-        snfs[i] = smith_normal_form(M[i])
-    for i in range(n + 1):
-        r_lo = snfs[i].rank if i >= 1 else 0
-        r_hi = snfs[i + 1].rank if i + 1 <= n else 0
-        free.append(len(U[i]) - r_lo - r_hi)
-        t = snfs[i + 1].torsion if i + 1 <= n else ()
-        tors.append(tuple(t))
+        snf = smith_normal_form(mats[i])
+        ranks[i] = snf.rank
+        tors[i - 1] = snf.torsion
     return IHTable(
         coeff_label="Z",
         n=n,
-        free_ranks=tuple(free),
+        free_ranks=tuple(sizes[i] - ranks[i] - ranks[i + 1] for i in range(n + 1)),
         torsion=tuple(tors),
-        chain_dims=tuple(len(U[i]) for i in range(n + 1)),
+        chain_dims=tuple(sizes),
     )
 
 
@@ -435,9 +405,15 @@ class IntersectionChainComplex:
 
 
 def intersection_chain_complex(X, pbar, coeff):
+    """Explicit intersection chain complex: bases of the chain lattices
+    (over Z) or subspaces (over a field, worked in its prime field), and
+    the boundary matrices in those coordinates."""
     data = _ChainData(X, pbar)
     n = data.n
+    label = coeff.label
     integral = isinstance(coeff, Integers)
+    if not integral:
+        coeff = prime_field(coeff)
     bases = []
     for i in range(n + 1):
         if i == 0:
@@ -451,7 +427,6 @@ def intersection_chain_complex(X, pbar, coeff):
             bases.append(integer_kernel_basis(data.B[i]))
         else:
             bases.append(kernel_basis(data.B[i], coeff))
-    field = RATIONALS if integral else coeff
     boundaries = []
     for i in range(n + 1):
         if i == 0 or not bases[i] or not bases[i - 1]:
@@ -492,7 +467,7 @@ def intersection_chain_complex(X, pbar, coeff):
         boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i]), entries))
     icc = IntersectionChainComplex(
         n=n,
-        coeff_label="Z" if integral else _coeff_label(coeff),
+        coeff_label=label,
         allowable=data.A,
         bases=bases,
         boundaries=boundaries,
@@ -518,8 +493,6 @@ def _assert_square_zero(icc, coeff):
                         )
             zero = 0 if integral else coeff.zero
             for rr, v in acc.items():
-                if isinstance(v, Fraction):
-                    v = v if v else 0
                 if v != zero:
                     raise AssertionError("boundary squared is nonzero")
 
@@ -535,31 +508,16 @@ def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
         cols = _boundary_columns(faces[i], row_index)
         mats[i] = _cols_to_matrix(cols, len(faces[i - 1]))
     if isinstance(coeff, Integers):
-        snfs = [None] * (n + 2)
-        for i in range(1, n + 1):
-            snfs[i] = smith_normal_form(mats[i])
-        free = []
-        tors = []
-        for i in range(n + 1):
-            r_lo = snfs[i].rank if i >= 1 else 0
-            r_hi = snfs[i + 1].rank if i + 1 <= n else 0
-            free.append(len(faces[i]) - r_lo - r_hi)
-            tors.append(tuple(snfs[i + 1].torsion) if i + 1 <= n else ())
-        return IHTable(
-            coeff_label="Z",
-            n=n,
-            free_ranks=tuple(free),
-            torsion=tuple(tors),
-            chain_dims=tuple(len(f) for f in faces),
-        )
+        return _smith_table([len(f) for f in faces], mats)
+    field = prime_field(coeff)
     ranks = [0] * (n + 2)
     for i in range(1, n + 1):
-        ranks[i] = rank(mats[i], coeff)
+        ranks[i] = rank(mats[i], field)
     dims = tuple(
         len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1)
     )
     return IHTable(
-        coeff_label=_coeff_label(coeff),
+        coeff_label=coeff.label,
         n=n,
         dims=dims,
         chain_dims=tuple(len(f) for f in faces),

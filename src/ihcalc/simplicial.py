@@ -692,24 +692,6 @@ def contract_edges(K, protect=()):
         for v in s:
             idx.setdefault(v, set()).add(s)
 
-    def link_set(s):
-        out = set()
-        base = min((idx.get(v, set()) for v in s), key=len)
-        for t in base:
-            if s <= t and len(t) > len(s):
-                out.add(t - s)
-        return out
-
-    # Vertex links, memoised: contracting b into a changes only the stars
-    # of the vertices of star(b), so only their entries are dropped.
-    vertex_links = {}
-
-    def vertex_link(v):
-        lk = vertex_links.get(v)
-        if lk is None:
-            lk = vertex_links[v] = link_set({v})
-        return lk
-
     changed = True
     while changed:
         changed = False
@@ -722,11 +704,18 @@ def contract_edges(K, protect=()):
                 a, b = b, a
             if b in protect:
                 continue
-            if vertex_link(a) & vertex_link(b) != link_set(e):
+            # The link condition lk(a) & lk(b) == lk(ab) fails exactly when
+            # some s in star(a) avoiding b has (s - a) + b in the complex
+            # but not s + b.
+            bb = {b}
+            if any(
+                b not in s
+                and (s - {a}) | bb in simplices
+                and s | bb not in simplices
+                for s in idx[a]
+            ):
                 continue
             star_b = list(idx[b])
-            for v in {v for s in star_b for v in s}:
-                vertex_links.pop(v, None)
             for s in star_b:
                 simplices.discard(s)
                 for v in s:

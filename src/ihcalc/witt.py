@@ -10,16 +10,15 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 
 from .exactalg import (
-    ExactMatrix,
-    FiniteField,
+    CoefficientError,
     PrimeField,
     Rationals,
+    coeff_from_label,
     is_square,
     make_field,
-    rank,
     smallest_nonsquare,
 )
-from .ihcore import Perversity, ih_homology, _coeff_label
+from .ihcore import Perversity, ih_homology
 from .simplicial import (
     StratifiedComplex,
     simplex_key,
@@ -94,19 +93,9 @@ class BilinearForm:
         return v
 
     def is_nondegenerate(self):
-        if self.n == 0:
-            return True
         f = self.field
-        if isinstance(f, Rationals):
-            entries = {
-                (i, j): v
-                for i, row in enumerate(self.rows)
-                for j, v in enumerate(row)
-                if v != 0
-            }
-            return rank(ExactMatrix(self.n, self.n, entries), f) == self.n
-        # entries are encoded field elements, which exactalg.rank would
-        # reinterpret as integers; eliminate directly with field ops
+        # eliminate with the field's own operations: exactalg.rank would
+        # read encoded F_{p^m} entries as integers
         work = [row[:] for row in self.rows]
         r = 0
         for col in range(self.n):
@@ -231,7 +220,7 @@ def _square_class(a, field):
 
 def witt_invariants(form: BilinearForm) -> WittClass:
     f = form.field
-    label = _coeff_label(f)
+    label = f.label
     if not form.is_nondegenerate():
         raise WittError("form is degenerate")
     n = form.n
@@ -273,21 +262,19 @@ def witt_class_add(a: WittClass, b: WittClass) -> WittClass:
 
 
 def _minus_one_class(label):
-    field = _field_from_label(label)
+    field = _class_field(label)
     return _square_class(field.neg(field.one), field)
 
 
-def _field_from_label(label):
-    if label.startswith("F"):
-        p, m = label[1:].split("^")
-        return make_field(int(p), int(m))
-    if label.startswith("Z"):
-        return PrimeField(int(label[1:]))
-    raise WittError(f"no finite field for {label}")
+def _class_field(label):
+    try:
+        return coeff_from_label(label)
+    except CoefficientError as e:
+        raise WittError(str(e)) from None
 
 
 def witt_identity(field):
-    label = _coeff_label(field)
+    label = field.label
     if isinstance(field, Rationals):
         return WittClass(label, signature=0)
     if field.p == 2:
@@ -304,7 +291,7 @@ class WittGroupDescr:
 
 
 def witt_group(field) -> WittGroupDescr:
-    label = _coeff_label(field)
+    label = field.label
     if isinstance(field, Rationals):
         return WittGroupDescr(
             label, "Z-signature", (((1,),),), AbelianGroup(free_rank=1)
@@ -322,7 +309,7 @@ def witt_group(field) -> WittGroupDescr:
 
 def witt_group_elements(field):
     """All Witt classes over a finite field, in a deterministic order."""
-    label = _coeff_label(field)
+    label = field.label
     if field.p == 2:
         return [WittClass(label, dim0=e) for e in (0, 1)]
     return [
@@ -334,7 +321,9 @@ def witt_group_elements(field):
 
 def diagonal_representative(a: WittClass):
     """A diagonal form over the class's own field with these invariants."""
-    field = _field_from_label(a.field_label)
+    field = _class_field(a.field_label)
+    if not field.char:
+        raise WittError(f"no finite field for {a.field_label}")
     if a.dpm is None:
         return BilinearForm([[1]] if a.dim0 else [], field)
     one = field.one
@@ -353,12 +342,13 @@ def diagonal_representative(a: WittClass):
 def restriction_map(a: WittClass, m: int) -> WittClass:
     """Reinterpret a Witt class over Z_p in the degree-m extension field
     by re-evaluating the invariants of a diagonal representative."""
-    if not a.field_label.startswith("Z") or a.field_label == "Z":
+    base = _class_field(a.field_label)
+    if not isinstance(base, PrimeField):
         raise WittError("restriction starts from a prime field")
-    p = int(a.field_label[1:])
+    p = base.p
     ext = make_field(p, m)
     if p == 2:
-        return WittClass(_coeff_label(ext), dim0=a.dim0)
+        return WittClass(ext.label, dim0=a.dim0)
     rep = diagonal_representative(a)
     lifted = BilinearForm(
         [
@@ -464,7 +454,7 @@ def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
                 )
             )
     return WittReport(
-        coeff_label=_coeff_label(coeff),
+        coeff_label=coeff.label,
         n=n,
         oriented=rep.orientable,
         irreducible=rep.irreducible,

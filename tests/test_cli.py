@@ -117,6 +117,13 @@ class TestCompute:
         out = capsys.readouterr().out
         assert "H_1 = Z^2" in out
 
+    def test_extension_field_powers_are_bracketed(self, capsys):
+        assert main(["compute", "--catalog", "T2", "--coeff", "Fq:3:2"]) == 0
+        out = capsys.readouterr().out
+        assert "coefficients F3^2" in out
+        assert "H_1 = (F3^2)^2" in out
+        assert "H_2 = F3^2" in out
+
 
 class TestWittCheck:
     def test_multiple_coefficients(self, capsys):

@@ -27,7 +27,7 @@ from ihcalc.exactalg import (
     solve_columns,
 )
 from ihcalc.catalog import catalog_build
-from ihcalc.ihcore import boundary_chain
+from ihcalc.ihcore import Perversity, _ChainData, boundary_chain
 from ihcalc.simplicial import simplex_key
 
 
@@ -180,6 +180,34 @@ class TestSolveColumns:
         sols = solve_columns(cols, [{0: 4}], INTEGERS)
         assert sols[0] == {0: 2}
 
+    def test_solve_over_zp(self):
+        cols = [{0: 1, 1: 2}, {1: 1}]
+        # 2 * (1, 2) + 1 * (0, 1) = (2, 5) = (2, 0) mod 5
+        assert solve_columns(cols, [{0: 2}, {}], PrimeField(5)) == [{0: 2, 1: 1}, {}]
+        # over Z3 the pivot 2 is inverted: (1, 1) = 2 * (2, 0) + (0, 1)
+        sols = solve_columns([{0: 2}, {1: 1}], [{0: 1, 1: 1}], PrimeField(3))
+        assert sols == [{0: 2, 1: 1}]
+
+    def test_solve_over_extension_reads_integers(self):
+        # integer columns over F9 are solved in its prime field Z3
+        cols = [{0: 2}, {1: 1}]
+        assert solve_columns(cols, [{0: 1, 1: 1}], make_field(3, 2)) == [{0: 2, 1: 1}]
+
+    def test_dependent_basis_rejected(self):
+        with pytest.raises(CoefficientError, match="basis columns are dependent"):
+            solve_columns([{0: 1}, {0: 3}], [{0: 1}], RATIONALS)
+        with pytest.raises(CoefficientError, match="basis columns are dependent"):
+            solve_columns([{0: 1}, {0: 3}], [], PrimeField(2))
+
+    def test_target_outside_span_rejected(self):
+        with pytest.raises(CoefficientError, match="target not in span of basis"):
+            solve_columns([{0: 1}], [{0: 1}, {1: 1}], PrimeField(3))
+
+    def test_non_integral_solution_rejected(self):
+        with pytest.raises(CoefficientError, match="non-integral solution"):
+            solve_columns([{0: 2}], [{0: 3}], INTEGERS)
+        assert solve_columns([{0: 2}], [{0: 3}], RATIONALS) == [{0: Fraction(3, 2)}]
+
 
 class TestSmithNormalForm:
     def test_diagonal_cases(self):
@@ -302,6 +330,56 @@ def test_rank_consistency_across_rings(rows):
     # extensions of the prime field see the same ranks on integer input
     assert rank(A, make_field(2, 2)) == rank(A, PrimeField(2))
     assert rank(A, make_field(3, 2)) == rank(A, PrimeField(3))
+
+
+def dense_field_rank(A, field):
+    """Reference rank: dense Gaussian elimination with the field's own
+    mul, sub and inv on the entries read as integers."""
+    rows = [[field.zero] * A.ncols for _ in range(A.nrows)]
+    for (r, c), v in A.entries.items():
+        rows[r][c] = field.from_int(v)
+    r = 0
+    for c in range(A.ncols):
+        piv = next((i for i in range(r, A.nrows) if rows[i][c] != field.zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = field.inv(rows[r][c])
+        for i in range(r + 1, A.nrows):
+            f = field.mul(rows[i][c], inv)
+            if f != field.zero:
+                rows[i] = [
+                    field.sub(a, field.mul(f, b)) for a, b in zip(rows[i], rows[r])
+                ]
+        r += 1
+    return r
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(-6, 6), min_size=1, max_size=5),
+        min_size=1,
+        max_size=5,
+    ).filter(lambda rows: len({len(r) for r in rows}) == 1)
+)
+def test_extension_field_rank_matches_dense_reference(rows):
+    A = ExactMatrix.from_rows(rows)
+    for p, m in ((2, 2), (3, 2), (2, 3)):
+        F = make_field(p, m)
+        assert rank(A, F) == dense_field_rank(A, F)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_extension_field_rank_on_boundary_matrices(p):
+    # the B_i and D_i of the suspended projective plane, over F4 and F9
+    X = catalog_build("S_RP2")
+    F = make_field(p, 2)
+    for pb in (Perversity.zero(3), Perversity.top(3)):  # both perversities
+        data = _ChainData(X, pb)
+        for i in range(1, 4):
+            for A in (data.B[i], data.D[i]):
+                assert rank(A, F) == dense_field_rank(A, F)
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,6 +10,7 @@ from ihcalc.exactalg import (
     RATIONALS,
     make_field,
     rank,
+    smith_normal_form,
 )
 from ihcalc.ihcore import (
     Perversity,
@@ -27,6 +28,7 @@ from ihcalc.simplicial import (
     StratifiedComplex,
     build_complex,
     cone,
+    suspension,
 )
 
 
@@ -152,6 +154,46 @@ class TestSuspensionTables:
         assert tuple(tq.dim(i) for i in range(4)) == (1, 0, 0, 0)
         t2 = ih_homology(X, m, PrimeField(2))
         assert tuple(t2.dim(i) for i in range(4)) == (1, 1, 0, 1)
+
+
+def _all_perversities(n):
+    """Every perversity in dimension n: p(2) = 0, then steps of 0 or 1."""
+    values = [(0,)]
+    for _ in range(n - 2):
+        values = [v + (v[-1] + d,) for v in values for d in (0, 1)]
+    return [Perversity(v, n) for v in values]
+
+
+def _integral_homology_of(icc):
+    """Free ranks and torsion read off the explicit lattice complex."""
+    snfs = [smith_normal_form(d) for d in icc.boundaries] + [None]
+    free, tors = [], []
+    for i in range(icc.n + 1):
+        r_hi = snfs[i + 1].rank if i < icc.n else 0
+        free.append(len(icc.bases[i]) - snfs[i].rank - r_hi)
+        tors.append(snfs[i + 1].torsion if i < icc.n else ())
+    return tuple(free), tuple(tors)
+
+
+class TestIntegralTableAgainstLatticeComplex:
+    """The production path reads torsion off face coordinates; the
+    explicit complex works in lattice coordinates."""
+
+    @pytest.mark.parametrize("name", ["cone_RP2", "S_RP2", "SS_RP2", "S_T2"])
+    def test_every_perversity(self, name):
+        X = catalog_build(name)
+        for pb in _all_perversities(X.n):
+            t = ih_homology(X, pb, INTEGERS)
+            icc = intersection_chain_complex(X, pb, INTEGERS)
+            assert (t.free_ranks, t.torsion) == _integral_homology_of(icc)
+
+    def test_suspended_lens_space(self):
+        X = suspension(catalog_build("L3_1"))
+        pb = Perversity.lower_middle(4)
+        t = ih_homology(X, pb, INTEGERS)
+        icc = intersection_chain_complex(X, pb, INTEGERS)
+        assert (t.free_ranks, t.torsion) == _integral_homology_of(icc)
+        assert t.torsion_at(1) == (3,)
 
 
 class TestOrdinaryHomology:
