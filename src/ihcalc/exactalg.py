@@ -529,11 +529,12 @@ def _echelon(vectors, p, traced=False):
     For a prime p it works mod p and scales each pivot to 1.  For p == 0
     it is fraction-free over Z: denominators are cleared once, steps
     cross-multiply, and each vector and its trace are divided by their
-    common content.  Returns the input positions of the independent
-    vectors and, when traced, {position: trace} for every dependent
-    vector, where sum(trace[j] * vectors[j]) == 0."""
-    pivots = {}  # lowest index -> (vector, trace)
-    independent = []
+    common content.  Returns the pivots, {lowest index: (vector,
+    trace)}, and {input position: trace} for every dependent vector.  A
+    trace (None unless traced) writes its vector as
+    sum(trace[j] * vectors[j]), so a dependent vector's trace is a
+    relation summing to 0."""
+    pivots = {}
     relations = {}
     for j, vec in enumerate(vectors):
         if p:
@@ -558,7 +559,6 @@ def _echelon(vectors, p, traced=False):
                     if traced:
                         trace = {jj: v * f % p for jj, v in trace.items()}
                 pivots[c] = (row, trace)
-                independent.append(j)
                 break
             prow, ptrace = piv
             if p:
@@ -581,7 +581,7 @@ def _echelon(vectors, p, traced=False):
                 row = {cc: v // g for cc, v in row.items()}
         else:
             relations[j] = trace
-    return independent, relations
+    return pivots, relations
 
 
 def _quotient(a, s, p):
