@@ -6,7 +6,7 @@ pseudomanifold flags, and quotient certificates for the glued spaces),
 so downstream computations never run on a miscooked triangulation.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 
 from .exactalg import INTEGERS, coeff_from_label

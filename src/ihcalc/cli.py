@@ -128,6 +128,8 @@ def load_space_file(path):
         skel_map = {}
         for key, gens in (doc.get("skeleta") or {}).items():
             i = int(key)
+            if not 0 <= i <= n:
+                raise ValueError(f"skeleton key {key!r} is outside 0..{n}")
             if gens:
                 skel_map[i] = SimplicialComplex.from_maximal(
                     [frozenset(int(v) for v in s) for s in gens]

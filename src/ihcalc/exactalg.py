@@ -3,8 +3,11 @@
 Everything here is exact: rationals use arbitrary-precision fractions,
 finite fields use table-driven arithmetic on integer-encoded elements,
 and integer computations (Smith normal form, integer kernels) never
-leave Z.  No floating point anywhere.  Rank, kernel and solve run one
-sparse elimination in the prime field of the coefficients.
+leave Z.  No floating point anywhere.  Rank, kernel and solve run in
+the prime field of the coefficients.  Rank and the Smith normal form
+share one pass of unit pivots taken sparsest column first; mod p it is
+the whole rank, and over Q the echelon routine behind kernel and solve
+finishes the small core it leaves.
 """
 
 from __future__ import annotations
@@ -459,12 +462,6 @@ class ExactMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def row_dicts(self):
-        rows = [dict() for _ in range(self.nrows)]
-        for (r, c), v in self.entries.items():
-            rows[r][c] = v
-        return rows
-
     def col_dicts(self):
         cols = [dict() for _ in range(self.ncols)]
         for (r, c), v in self.entries.items():
@@ -591,10 +588,84 @@ def _quotient(a, s, p):
     return Fraction(a, s)
 
 
+def _index(entries, p):
+    """Rows {r: {c: v}} and columns {c: {r: None}}, mod p if p > 0."""
+    rows, cols = {}, {}
+    for (r, c), v in entries.items():
+        if p:
+            v %= p
+            if not v:
+                continue
+        rows.setdefault(r, {})[c] = v
+        cols.setdefault(c, {})[r] = None
+    return rows, cols
+
+
+def _add_row(rows, cols, src, dst, factor, p):
+    """Row dst += factor * row src (mod p when p is a prime), keeping the
+    column index in step."""
+    drow = rows[dst]
+    for c, v in rows[src].items():
+        nv = drow.get(c, 0) + factor * v
+        if p:
+            nv %= p
+        if nv:
+            drow[c] = nv
+            cols[c][dst] = None
+        else:
+            del drow[c]
+            del cols[c][dst]
+
+
+def _drop(rows, cols, pr, pc):
+    """Remove a pivot row pr and its cleared column pc from the index."""
+    for c in rows.pop(pr):
+        del cols[c][pr]
+    del cols[pc]
+
+
+def _unit_pivots(rows, cols, p):
+    """Eliminate unit pivots in place, sparsest column first (a lazy heap:
+    a stale count is pushed again) and the shortest row holding a unit in
+    it; return their number.  Mod a prime p every nonzero entry is a unit
+    and the count is the rank; for p == 0 the units are +-1 and a core is
+    left.  A pivot clears its column by row operations, then its row and
+    column are dropped: clearing the row by column operations would touch
+    no other row, so the pass also serves the Smith normal form."""
+    heap = [(len(col), c) for c, col in cols.items()]
+    heapq.heapify(heap)
+    count = 0
+    while heap:
+        n, pc = heapq.heappop(heap)
+        col = cols.get(pc)
+        if not col:
+            continue
+        if len(col) != n:
+            heapq.heappush(heap, (len(col), pc))
+            continue
+        units = col if p else (r for r in col if rows[r][pc] in (1, -1))
+        pr = min(units, key=lambda r: (len(rows[r]), r), default=None)
+        if pr is None:
+            continue
+        inv = pow(rows[pr][pc], p - 2, p) if p else rows[pr][pc]
+        for r in list(col):
+            if r != pr:
+                _add_row(rows, cols, pr, r, -rows[r][pc] * inv, p)
+        _drop(rows, cols, pr, pc)
+        count += 1
+    return count
+
+
 def rank(A: ExactMatrix, coeff) -> int:
-    """Rank of A over a coefficient field."""
+    """Rank of A over a coefficient field.
+
+    Unit pivots go first, sparsest column first (`_unit_pivots`); mod p
+    they are the whole rank, and over Q `_echelon` finishes the small
+    core they leave."""
     p = prime_field(coeff).char
-    return len(_echelon([r for r in A.row_dicts() if r], p)[0])
+    rows, cols = _index(A.entries, p)
+    count = _unit_pivots(rows, cols, p)
+    return count + len(_echelon([r for r in rows.values() if r], p)[0])
 
 
 def kernel_basis(A: ExactMatrix, coeff):
@@ -718,91 +789,29 @@ class SNFResult:
 def smith_normal_form(A: ExactMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix.
 
-    First eliminates +-1 pivots (Markowitz-style: sparsest column first,
-    shortest row within it), each contributing an invariant factor 1.
-    The remaining core goes through elementary row/column operations with
-    a smallest-absolute-value pivot, ties broken by position.  Invariant
-    factors are unique, so the pre-pass does not change the result."""
-    rows = {}
-    cols = {}
-    for (r, c), v in A.entries.items():
-        if not isinstance(v, int):
-            if isinstance(v, Fraction) and v.denominator == 1:
-                v = v.numerator
-            else:
-                raise CoefficientError("smith_normal_form requires integer entries")
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, {}).setdefault(r, None)
-    diag = []
-
-    def add_row(src, dst, factor):
-        srow = rows.get(src, {})
-        drow = rows.setdefault(dst, {})
-        for c, v in srow.items():
-            nv = drow.get(c, 0) + factor * v
-            if nv:
-                drow[c] = nv
-                cols.setdefault(c, {})[dst] = None
-            else:
-                drow.pop(c, None)
-                col = cols.get(c)
-                if col is not None:
-                    col.pop(dst, None)
+    First eliminates +-1 pivots, sparsest column first and shortest row
+    within it (`_unit_pivots`, the pass `rank` runs), each contributing
+    an invariant factor 1.  The remaining core goes through elementary
+    row/column operations with a smallest-absolute-value pivot, ties
+    broken by position.  Invariant factors are unique, so the pre-pass
+    does not change the result."""
+    if any(
+        not isinstance(v, int) and getattr(v, "denominator", 0) != 1
+        for v in A.entries.values()
+    ):
+        raise CoefficientError("smith_normal_form requires integer entries")
+    rows, cols = _index({k: int(v) for k, v in A.entries.items()}, 0)
+    diag = [1] * _unit_pivots(rows, cols, 0)
 
     def add_col(src, dst, factor):
-        scol = cols.get(src, {})
-        for r in list(scol):
-            v = rows[r].get(src)
-            if v is None:
-                continue
-            nv = rows[r].get(dst, 0) + factor * v
+        for r in list(cols[src]):
+            nv = rows[r].get(dst, 0) + factor * rows[r][src]
             if nv:
                 rows[r][dst] = nv
-                cols.setdefault(dst, {})[r] = None
+                cols[dst][r] = None
             else:
-                rows[r].pop(dst, None)
-                col = cols.get(dst)
-                if col is not None:
-                    col.pop(r, None)
-
-    def drop(pr, pc):
-        for c in list(rows.get(pr, {})):
-            col = cols.get(c)
-            if col is not None:
-                col.pop(pr, None)
-        rows.pop(pr, None)
-        for r in list(cols.get(pc, {})):
-            rows.get(r, {}).pop(pc, None)
-        cols.pop(pc, None)
-
-    # Unit pre-pass.  Heap entries carry the column's count when pushed;
-    # a stale entry is pushed again with the current count.  A unit pivot
-    # clears its column by row operations alone, after which its row and
-    # column can be dropped: the column operations that would clear the
-    # row touch no other row.
-    heap = [(len(col), c) for c, col in cols.items()]
-    heapq.heapify(heap)
-    while heap:
-        count, pc = heapq.heappop(heap)
-        col = cols.get(pc)
-        if not col:
-            continue
-        if len(col) != count:
-            heapq.heappush(heap, (len(col), pc))
-            continue
-        pr = min(
-            (r for r in col if rows[r][pc] in (1, -1)),
-            key=lambda r: (len(rows[r]), r),
-            default=None,
-        )
-        if pr is None:
-            continue
-        pv = rows[pr][pc]
-        for r in list(col):
-            if r != pr:
-                add_row(pr, r, -rows[r][pc] * pv)
-        diag.append(1)
-        drop(pr, pc)
+                del rows[r][dst]
+                del cols[dst][r]
 
     while True:
         best = None
@@ -831,7 +840,7 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
                     continue
                 q = v // pv
                 if q:
-                    add_row(pr, r, -q)
+                    _add_row(rows, cols, pr, r, -q, 0)
                 if rows[r].get(pc):
                     # remainder smaller than pivot: swap roles
                     pr = r
@@ -856,7 +865,7 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
             if done:
                 break
         diag.append(abs(rows[pr][pc]))
-        drop(pr, pc)
+        _drop(rows, cols, pr, pc)
 
     # repair the divisibility chain
     changed = True

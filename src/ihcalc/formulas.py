@@ -11,7 +11,7 @@ from math import gcd
 
 from .exactalg import CoefficientError, coeff_from_label
 from .ihcore import IHTable, Perversity, PerversityError
-from .witt import AbelianGroup, ZERO_GROUP, bordism_group
+from .witt import AbelianGroup, bordism_group
 
 
 class FormulaError(ValueError):

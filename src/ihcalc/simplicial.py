@@ -8,7 +8,7 @@ integer labels deterministically.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations, permutations
+from itertools import permutations
 
 
 class SimplicialError(ValueError):

@@ -6,7 +6,7 @@ determinant); in characteristic 2 by the dimension mod 2 alone; over the
 rationals we expose only the signature.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactalg import (
@@ -21,7 +21,6 @@ from .exactalg import (
 from .ihcore import Perversity, ih_homology
 from .simplicial import (
     StratifiedComplex,
-    simplex_key,
     simplicial_link,
     sorted_vertices,
     stratum_components,

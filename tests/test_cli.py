@@ -73,6 +73,15 @@ class TestExitCodes:
     def test_missing_space_file(self, capsys):
         assert main(["compute", "--space", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize("key", ["-1", "3"])
+    def test_skeleton_key_outside_dimension(self, tmp_path, capsys, key):
+        p = tmp_path / "skel.json"
+        p.write_text(json.dumps({**SUSP_S1, "skeleta": {key: [[0]]}}))
+        assert main(["compute", "--space", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"skeleton key '{key}'" in err
+        assert "Traceback" not in err
+
 
 class TestCompute:
     def test_space_file_table(self, space_file, capsys):

@@ -15,11 +15,13 @@ from ihcalc.exactalg import (
     INTEGERS,
     PrimeField,
     RATIONALS,
+    _echelon,
     integer_kernel_basis,
     is_prime,
     is_square,
     kernel_basis,
     make_field,
+    prime_field,
     rank,
     smallest_irreducible,
     smallest_nonsquare,
@@ -133,6 +135,29 @@ class TestRank:
             [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
         )
         assert rank(A, RATIONALS) == 1
+        # Fraction(1) and Fraction(-1) are unit pivots; the rest is a
+        # Fraction core for the echelon routine
+        A = ExactMatrix.from_rows(
+            [
+                [Fraction(1), Fraction(1, 2), 0, Fraction(2, 3)],
+                [Fraction(-1), 0, Fraction(3, 4), Fraction(1, 3)],
+                [0, Fraction(1, 2), Fraction(3, 4), 1],
+                [Fraction(5, 7), 0, 0, Fraction(-1, 7)],
+            ]
+        )
+        assert rank(A, RATIONALS) == len(_echelon(_sparse_rows(A), 0)[0]) == 3
+
+    def test_j_l3_boundary_ranks(self):
+        # D_1..D_4 of L(3,1) x S1 at the lower middle perversity; D_2 and
+        # D_3 lose one over Z3, from the Z/3 in H_1 and in H_2
+        X = catalog_build("J_L3")
+        data = _ChainData(X, Perversity.lower_middle(4))
+        for coeff, want in (
+            (RATIONALS, (56, 738, 1872, 1247)),
+            (PrimeField(3), (56, 737, 1871, 1247)),
+            (make_field(3, 2), (56, 737, 1871, 1247)),
+        ):
+            assert tuple(rank(data.D[i], coeff) for i in range(1, 5)) == want
 
 
 class TestKernels:
@@ -330,6 +355,33 @@ def test_rank_consistency_across_rings(rows):
     # extensions of the prime field see the same ranks on integer input
     assert rank(A, make_field(2, 2)) == rank(A, PrimeField(2))
     assert rank(A, make_field(3, 2)) == rank(A, PrimeField(3))
+
+
+def _sparse_rows(A):
+    rows = [{} for _ in range(A.nrows)]
+    for (r, c), v in A.entries.items():
+        rows[r][c] = v
+    return rows
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+        lambda shape: st.dictionaries(
+            st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1)),
+            st.integers(-4, 4),
+            max_size=2 * (shape[0] + shape[1]),
+        ).map(lambda entries: ExactMatrix(shape[0], shape[1], entries))
+    )
+)
+def test_rank_matches_echelon_on_sparse_matrices(A):
+    # entries other than +-1 leave a core over Q and over Z; mod p every
+    # entry is a unit
+    for coeff in (RATIONALS, PrimeField(2), PrimeField(3), PrimeField(5),
+                  make_field(2, 2), make_field(3, 2)):
+        p = prime_field(coeff).char
+        assert rank(A, coeff) == len(_echelon(_sparse_rows(A), p)[0])
+    assert smith_normal_form(A).rank == rank(A, RATIONALS)
 
 
 def dense_field_rank(A, field):
