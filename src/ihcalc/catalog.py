@@ -125,11 +125,11 @@ def _build_genus2():
 # --- quotient constructions ---------------------------------------------------
 
 
-def _lens_space(p, subdivisions=2):
+def _lens_space(p):
     """L(p,1) from a bipyramid over a p-gon: the top boundary cap is
     glued to the bottom cap with a one-step twist.  The identification
-    only becomes simplicial after subdividing, and the build certifies
-    that the quotient identifies exactly the intended orbits."""
+    only becomes simplicial after subdividing twice, and the build
+    certifies that the quotient identifies exactly the intended orbits."""
     N, S = "N", "S"
     domain = SimplicialComplex.from_maximal(
         [frozenset([N, S, i, (i + 1) % p]) for i in range(p)]
@@ -144,7 +144,7 @@ def _lens_space(p, subdivisions=2):
         [frozenset([i, (i + 1) % p]) for i in range(p)]
     )
     K, T, Bc, E = domain, topcap, bottomcap, equator
-    for _ in range(subdivisions):
+    for _ in range(2):
         K, T, Bc, E = _sd_raw(K), _sd_raw(T), _sd_raw(Bc), _sd_raw(E)
 
     def glue(v):
@@ -373,10 +373,10 @@ def _table_X8_SY(pbar, coeff_label, e=3):
 
 
 _FORMULA_BUILDERS = {
-    "Uhat_S2": (_table_Uhat, 4),
-    "Y_T2": (_table_Y, 4),
-    "X8_SJ": (_table_X8_SJ, 8),
-    "X8_SY": (_table_X8_SY, 8),
+    "Uhat_S2": _table_Uhat,
+    "Y_T2": _table_Y,
+    "X8_SJ": _table_X8_SJ,
+    "X8_SY": _table_X8_SY,
 }
 
 
@@ -384,8 +384,7 @@ def catalog_table(name, pbar, coeff_label, **kw) -> IHTable:
     """Homology table of a formula-level catalog entry."""
     if name not in _FORMULA_BUILDERS:
         raise CatalogError(f"unknown formula entry {name!r}")
-    fn, _dim = _FORMULA_BUILDERS[name]
-    return fn(pbar, coeff_label, **kw)
+    return _FORMULA_BUILDERS[name](pbar, coeff_label, **kw)
 
 
 # --- manifest ------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .catalog import (
     catalog_entries,
     catalog_entry,
     catalog_table,
-    _FORMULA_BUILDERS,
 )
 from .exactalg import (
     CoefficientError,
@@ -113,6 +112,14 @@ def parse_perversity(spec, n):
     raise CliError(f"bad perversity spec {spec!r}", EXIT_PARSE)
 
 
+def _json_int(v):
+    """An integer from a JSON value: an int or a numeral string.  Floats
+    and booleans are rejected rather than truncated."""
+    if isinstance(v, (bool, float)):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
+
+
 def load_space_file(path):
     """JSON document with dimension, maximal_simplices, and optional
     skeleta (map from skeleton index to generating simplices)."""
@@ -122,8 +129,10 @@ def load_space_file(path):
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read space file {path}: {e}", EXIT_PARSE)
     try:
-        n = int(doc["dimension"])
-        maximal = [frozenset(int(v) for v in s) for s in doc["maximal_simplices"]]
+        n = _json_int(doc["dimension"])
+        maximal = [
+            frozenset(_json_int(v) for v in s) for s in doc["maximal_simplices"]
+        ]
         K = build_complex(maximal)
         skel_map = {}
         for key, gens in (doc.get("skeleta") or {}).items():
@@ -132,7 +141,7 @@ def load_space_file(path):
                 raise ValueError(f"skeleton key {key!r} is outside 0..{n}")
             if gens:
                 skel_map[i] = SimplicialComplex.from_maximal(
-                    [frozenset(int(v) for v in s) for s in gens]
+                    [frozenset(_json_int(v) for v in s) for s in gens]
                 )
             else:
                 skel_map[i] = SimplicialComplex.empty()
@@ -167,7 +176,7 @@ def _table_lines(table: IHTable):
 
 def cmd_compute(args):
     coeff = parse_coefficients(args.coeff)
-    if args.catalog and args.catalog in _FORMULA_BUILDERS:
+    if args.catalog and catalog_entry(args.catalog).kind == "formula":
         if coeff is INTEGERS:
             raise CliError("formula entries need field coefficients", EXIT_PARSE)
         dim = catalog_entry(args.catalog).dimension
@@ -259,11 +268,13 @@ def _parse_gram_entry(text, field):
     if isinstance(text, str) and "/" in text:
         if not isinstance(field, Rationals):
             raise ValueError(f"fraction entry {text!r} needs Q coefficients")
-        num, den = text.split("/")
-        return Fraction(int(num), int(den))
+        num, den = (int(x) for x in text.split("/"))
+        if den == 0:
+            raise ValueError(f"fraction entry {text!r} has a zero denominator")
+        return Fraction(num, den)
     if isinstance(field, Rationals):
-        return Fraction(int(text))
-    return field.from_int(int(text))
+        return Fraction(_json_int(text))
+    return field.from_int(_json_int(text))
 
 
 def load_gram_matrix(path_or_spec, field):
@@ -278,7 +289,7 @@ def load_gram_matrix(path_or_spec, field):
     except (OSError, json.JSONDecodeError) as e:
         raise CliError(f"cannot read matrix file {path_or_spec}: {e}", EXIT_PARSE)
     try:
-        n = int(doc["dimension"])
+        n = _json_int(doc["dimension"])
         flat = [_parse_gram_entry(e, field) for e in doc["entries"]]
         if len(flat) != n * n:
             raise ValueError(f"need {n * n} entries, got {len(flat)}")

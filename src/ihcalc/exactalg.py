@@ -220,7 +220,8 @@ def _digits_to_int(digits, p):
 
 
 class FiniteField:
-    """F_{p^m} presented as Z_p[x]/(modulus).
+    """F_{p^m} presented as Z_p[x]/(modulus), with the modulus given by
+    `smallest_irreducible`.
 
     Elements are ints in [0, p^m) encoding coefficient vectors base p,
     low-degree digit first.  For small q the full multiplication table is
@@ -229,21 +230,14 @@ class FiniteField:
 
     _TABLE_LIMIT = 512
 
-    def __init__(self, p: int, m: int, modulus=None):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise CoefficientError(f"{p} is not prime")
         if m < 1:
             raise CoefficientError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = smallest_irreducible(p, m)
-        modulus = tuple(c % p for c in modulus)
-        if len(modulus) != m + 1 or modulus[-1] != 1:
-            raise CoefficientError("modulus must be monic of degree m")
-        if not _poly_is_irreducible(modulus, p):
-            raise CoefficientError("modulus is not irreducible")
         self.p = p
         self.m = m
-        self.modulus = modulus
+        self.modulus = smallest_irreducible(p, m)
         self.label = f"F{p}^{m}"
         self.char = p
         self.order = p**m
@@ -714,29 +708,11 @@ def integer_kernel_basis(A: ExactMatrix):
             pcol, ptrace = piv
             a, b = pcol[r], col[r]
             g, x, y = _xgcd(a, b)
-            # new pivot = x*pcol + y*col  (entry g at r)
-            # new col   = (a//g)*col - (b//g)*pcol  (entry 0 at r)
             fa, fb = a // g, b // g
-            newp, newt = {}, {}
-            for rr in set(pcol) | set(col):
-                v = x * pcol.get(rr, 0) + y * col.get(rr, 0)
-                if v:
-                    newp[rr] = v
-            for jj in set(ptrace) | set(trace):
-                v = x * ptrace.get(jj, 0) + y * trace.get(jj, 0)
-                if v:
-                    newt[jj] = v
-            newc, newct = {}, {}
-            for rr in set(pcol) | set(col):
-                v = fa * col.get(rr, 0) - fb * pcol.get(rr, 0)
-                if v:
-                    newc[rr] = v
-            for jj in set(ptrace) | set(trace):
-                v = fa * trace.get(jj, 0) - fb * ptrace.get(jj, 0)
-                if v:
-                    newct[jj] = v
-            pivots[r] = (newp, newt)
-            col, trace = newc, newct
+            # new pivot x*pcol + y*col has entry g at r; the new column
+            # (a/g)*col - (b/g)*pcol has entry 0 there
+            pivots[r] = (_cross(x, pcol, -y, col), _cross(x, ptrace, -y, trace))
+            col, trace = _cross(fa, col, fb, pcol), _cross(fa, trace, fb, ptrace)
         else:
             vec = [0] * A.ncols
             for jj, v in trace.items():

@@ -10,6 +10,15 @@ Field extension is flat, so the complex over F_{p^m} is the complex over
 Z_p tensored up: F_{p^m} tables are computed in the prime field Z_p and
 keep their own label.  Integral torsion comes from one Smith normal form
 per degree, of the boundaries of the chain lattice in face coordinates.
+
+There is one chain-assembly path.  `_ChainData` sorts each degree's
+faces once; the allowable simplices are a filter of that list, D[i] comes
+from `_boundary_matrix` (which `ordinary_homology` uses too), and B[i] is
+D[i] on the non-allowable rows.  `_boundaries` pushes chains through D[i]
+and checks that none leaks onto a non-allowable face, for the integral
+table and for `intersection_chain_complex`; the latter then changes basis
+with `solve_columns`, which keeps it an independent reference for the
+integral table.
 """
 
 from dataclasses import dataclass
@@ -151,17 +160,6 @@ def _skeleton_vertex_sets(X):
     return out
 
 
-def _allowable_simplices(X, pbar):
-    """Sorted allowable simplices per degree 0..n."""
-    n = X.n
-    bounds = _skeleton_vertex_sets(X)
-    out = []
-    for i in range(n + 1):
-        good = [s for s in X.complex.faces(i) if _is_allowable(s, i, pbar, bounds)]
-        out.append(sorted(good, key=simplex_key))
-    return out
-
-
 def boundary_chain(s):
     """Signed boundary of a simplex: list of (face, sign) with the usual
     alternating signs for the sorted vertex ordering."""
@@ -169,26 +167,15 @@ def boundary_chain(s):
     return [(s - {v}, (-1) ** j) for j, v in enumerate(vs)]
 
 
-def _boundary_columns(simplices, row_index):
-    """Boundary of each simplex as a column over the indexed rows; faces
-    missing from the index are dropped."""
-    cols = []
-    for s in simplices:
-        col = {}
-        for f, sign in boundary_chain(s):
-            r = row_index.get(f)
-            if r is not None:
-                col[r] = sign
-        cols.append(col)
-    return cols
-
-
-def _cols_to_matrix(cols, nrows):
+def _boundary_matrix(simplices, faces):
+    """Boundary matrix from the span of `simplices` to the span of
+    `faces`, which holds every face of every simplex."""
+    row = {f: r for r, f in enumerate(faces)}
     entries = {}
-    for j, col in enumerate(cols):
-        for r, v in col.items():
-            entries[(r, j)] = v
-    return ExactMatrix(nrows, len(cols), entries)
+    for j, s in enumerate(simplices):
+        for f, sign in boundary_chain(s):
+            entries[(row[f], j)] = sign
+    return ExactMatrix(len(faces), len(simplices), entries)
 
 
 class _ChainData:
@@ -198,31 +185,62 @@ class _ChainData:
     D[i] the boundary matrix from span A[i] to the full chain group one
     degree down, and B[i] the rows of D[i] on non-allowable faces.  The
     intersection chain group in degree i is the kernel of B[i].
+    allow_rows[i] maps the row of each allowable face of D[i] to its
+    position in A[i - 1].
     """
 
     def __init__(self, X, pbar):
         n = X.n
         self.n = n
-        self.A = _allowable_simplices(X, pbar)
-        all_faces = [sorted(X.complex.faces(i), key=simplex_key) for i in range(n + 1)]
+        bounds = _skeleton_vertex_sets(X)
+        faces = [sorted(X.complex.faces(i), key=simplex_key) for i in range(n + 1)]
+        ok = [
+            [_is_allowable(s, i, pbar, bounds) for s in faces[i]]
+            for i in range(n + 1)
+        ]
+        self.A = [[s for s, a in zip(faces[i], ok[i]) if a] for i in range(n + 1)]
         self.D = [None] * (n + 1)
         self.B = [None] * (n + 1)
         self.allow_rows = [None] * (n + 1)
         for i in range(1, n + 1):
-            faces = all_faces[i - 1]
-            row_index = {f: r for r, f in enumerate(faces)}
-            allowed = set(self.A[i - 1])
-            cols = _boundary_columns(self.A[i], row_index)
-            self.D[i] = _cols_to_matrix(cols, len(faces))
-            bad_rows = [r for r, f in enumerate(faces) if f not in allowed]
-            bad_pos = {r: j for j, r in enumerate(bad_rows)}
-            bcols = []
-            for col in cols:
-                bcol = {bad_pos[r]: v for r, v in col.items() if r in bad_pos}
-                bcols.append(bcol)
-            self.B[i] = _cols_to_matrix(bcols, len(bad_rows))
-            good_rows = [r for r, f in enumerate(faces) if f in allowed]
-            self.allow_rows[i] = good_rows
+            D = _boundary_matrix(self.A[i], faces[i - 1])
+            good = [r for r, a in enumerate(ok[i - 1]) if a]
+            bad = [r for r, a in enumerate(ok[i - 1]) if not a]
+            bad_pos = {r: k for k, r in enumerate(bad)}
+            self.D[i] = D
+            self.B[i] = ExactMatrix(
+                len(bad),
+                D.ncols,
+                {(bad_pos[r], j): v for (r, j), v in D.entries.items() if r in bad_pos},
+            )
+            self.allow_rows[i] = {r: t for t, r in enumerate(good)}
+
+
+def _combine(cols, coeffs, p):
+    """Sparse column sum(c * cols[t] for t, c in coeffs), mod p if p > 0."""
+    acc = {}
+    for t, c in coeffs:
+        if c:
+            for r, v in cols[t].items():
+                acc[r] = acc.get(r, 0) + c * v
+    if p:
+        return {r: v % p for r, v in acc.items() if v % p}
+    return {r: v for r, v in acc.items() if v}
+
+
+def _boundaries(data, i, vectors, p):
+    """Boundaries D[i] u of dense vectors u over span A[i], as sparse
+    columns in face coordinates, mod p if p > 0.  Each must lie on
+    allowable faces."""
+    Dcols = data.D[i].col_dicts()
+    good = data.allow_rows[i]
+    out = []
+    for u in vectors:
+        col = _combine(Dcols, enumerate(u), p)
+        if not col.keys() <= good.keys():
+            raise PerversityError("boundary leaked onto a bad face")
+        out.append(col)
+    return out
 
 
 @dataclass(frozen=True)
@@ -307,20 +325,14 @@ def _field_table(data, coeff):
     for i in range(1, n + 1):
         rank_D[i] = rank(data.D[i], field)
         rank_B[i] = rank(data.B[i], field)
-    dims = []
-    chain_dims = []
-    for i in range(n + 1):
-        ic = len(data.A[i]) - rank_B[i] if i >= 1 else len(data.A[i])
-        chain_dims.append(ic)
-        h = len(data.A[i]) - rank_D[i] - rank_D[i + 1] + rank_B[i + 1]
-        if i == 0:
-            h = len(data.A[0]) - rank_D[1] + rank_B[1]
-        dims.append(h)
+    a = [len(s) for s in data.A]
     return IHTable(
         coeff_label=coeff.label,
         n=n,
-        dims=tuple(dims),
-        chain_dims=tuple(chain_dims),
+        dims=tuple(
+            a[i] - rank_D[i] - rank_D[i + 1] + rank_B[i + 1] for i in range(n + 1)
+        ),
+        chain_dims=tuple(a[i] - rank_B[i] for i in range(n + 1)),
     )
 
 
@@ -340,20 +352,8 @@ def _integral_table(data):
         U.append(integer_kernel_basis(data.B[i]))
     mats = [None] * (n + 1)
     for i in range(1, n + 1):
-        Dcols = data.D[i].col_dicts()
-        good = set(data.allow_rows[i])
-        entries = {}
-        for j, u in enumerate(U[i]):
-            chain = {}
-            for t, c in enumerate(u):
-                if c:
-                    for r, v in Dcols[t].items():
-                        chain[r] = chain.get(r, 0) + c * v
-            for r, v in chain.items():
-                if v:
-                    if r not in good:
-                        raise PerversityError("boundary leaked onto a bad face")
-                    entries[(r, j)] = v
+        cols = _boundaries(data, i, U[i], 0)
+        entries = {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
         mats[i] = ExactMatrix(data.D[i].nrows, len(U[i]), entries)
     return _smith_table([len(u) for u in U], mats)
 
@@ -410,91 +410,48 @@ def intersection_chain_complex(X, pbar, coeff):
     the boundary matrices in those coordinates."""
     data = _ChainData(X, pbar)
     n = data.n
-    label = coeff.label
     integral = isinstance(coeff, Integers)
-    if not integral:
-        coeff = prime_field(coeff)
-    bases = []
-    for i in range(n + 1):
-        if i == 0:
-            dim0 = len(data.A[0])
-            one = coeff.one if not integral else 1
-            zero = coeff.zero if not integral else 0
-            bases.append(
-                [[one if j == t else zero for j in range(dim0)] for t in range(dim0)]
-            )
-        elif integral:
+    ring = coeff if integral else prime_field(coeff)
+    p = ring.char
+    a0 = len(data.A[0])
+    one, zero = ring.one, ring.zero
+    bases = [[[one if j == t else zero for j in range(a0)] for t in range(a0)]]
+    for i in range(1, n + 1):
+        if integral:
             bases.append(integer_kernel_basis(data.B[i]))
         else:
-            bases.append(kernel_basis(data.B[i], coeff))
-    boundaries = []
-    for i in range(n + 1):
-        if i == 0 or not bases[i] or not bases[i - 1]:
-            boundaries.append(ExactMatrix(len(bases[i - 1]) if i else 0, len(bases[i])))
+            bases.append(kernel_basis(data.B[i], ring))
+    boundaries = [ExactMatrix(0, a0)]
+    for i in range(1, n + 1):
+        if not bases[i] or not bases[i - 1]:
+            boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i])))
             continue
-        Dcols = data.D[i].col_dicts()
-        pos = {r: t for t, r in enumerate(data.allow_rows[i])}
-        targets = []
-        zero = 0 if integral else coeff.zero
-        for u in bases[i]:
-            chain = {}
-            for j, c in enumerate(u):
-                if c == zero:
-                    continue
-                for r, v in Dcols[j].items():
-                    cur = chain.get(r, zero)
-                    if integral:
-                        chain[r] = cur + c * v
-                    else:
-                        term = coeff.mul(c, coeff.from_int(v))
-                        chain[r] = coeff.add(cur, term)
-            tgt = {}
-            for r, v in chain.items():
-                if v != zero:
-                    if r not in pos:
-                        raise PerversityError("boundary leaked onto a bad face")
-                    tgt[pos[r]] = v
-            targets.append(tgt)
-        basis_cols = [
-            {t: c for t, c in enumerate(u) if c != zero} for u in bases[i - 1]
+        pos = data.allow_rows[i]
+        targets = [
+            {pos[r]: v for r, v in col.items()}
+            for col in _boundaries(data, i, bases[i], p)
         ]
-        sols = solve_columns(basis_cols, targets, INTEGERS if integral else coeff)
-        entries = {}
-        for j, sol in enumerate(sols):
-            for r, v in sol.items():
-                if v != (0 if integral else coeff.zero):
-                    entries[(r, j)] = v
+        basis_cols = [{t: c for t, c in enumerate(u) if c} for u in bases[i - 1]]
+        sols = solve_columns(basis_cols, targets, ring)
+        entries = {(r, j): v for j, sol in enumerate(sols) for r, v in sol.items()}
         boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i]), entries))
     icc = IntersectionChainComplex(
         n=n,
-        coeff_label=label,
+        coeff_label=coeff.label,
         allowable=data.A,
         bases=bases,
         boundaries=boundaries,
     )
-    _assert_square_zero(icc, coeff)
+    _assert_square_zero(icc, p)
     return icc
 
 
-def _assert_square_zero(icc, coeff):
-    integral = isinstance(coeff, Integers)
+def _assert_square_zero(icc, p):
     for i in range(2, icc.n + 1):
         lo = icc.boundaries[i - 1].col_dicts()
-        hi = icc.boundaries[i].col_dicts()
-        for col in hi:
-            acc = {}
-            for r, v in col.items():
-                for rr, w in lo[r].items():
-                    if integral:
-                        acc[rr] = acc.get(rr, 0) + v * w
-                    else:
-                        acc[rr] = coeff.add(
-                            acc.get(rr, coeff.zero), coeff.mul(v, w)
-                        )
-            zero = 0 if integral else coeff.zero
-            for rr, v in acc.items():
-                if v != zero:
-                    raise AssertionError("boundary squared is nonzero")
+        for col in icc.boundaries[i].col_dicts():
+            if _combine(lo, col.items(), p):
+                raise AssertionError("boundary squared is nonzero")
 
 
 def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
@@ -504,9 +461,7 @@ def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
     faces = [sorted(C.faces(i), key=simplex_key) for i in range(n + 1)]
     mats = [None] * (n + 2)
     for i in range(1, n + 1):
-        row_index = {f: r for r, f in enumerate(faces[i - 1])}
-        cols = _boundary_columns(faces[i], row_index)
-        mats[i] = _cols_to_matrix(cols, len(faces[i - 1]))
+        mats[i] = _boundary_matrix(faces[i], faces[i - 1])
     if isinstance(coeff, Integers):
         return _smith_table([len(f) for f in faces], mats)
     field = prime_field(coeff)

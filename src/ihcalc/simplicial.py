@@ -178,9 +178,9 @@ def canonical_vertex_order(K):
     return sorted(K.vertices, key=_canon_key)
 
 
-def relabel_canonical(K, start=0):
-    """Relabel vertices to start..start+V-1 in canonical label order."""
-    mapping = {v: start + i for i, v in enumerate(canonical_vertex_order(K))}
+def relabel_canonical(K):
+    """Relabel vertices to 0..V-1 in canonical label order."""
+    mapping = {v: i for i, v in enumerate(canonical_vertex_order(K))}
     return K.relabel(mapping), mapping
 
 
@@ -276,6 +276,10 @@ class PseudomanifoldReport:
     orientable: bool
     irreducible: bool
     failures: list = field(default_factory=list)
+    # {n-simplex: +-1} propagated across the regular (n-1)-faces outside
+    # the singular locus, relative to the sorted vertex ordering; coherent
+    # when `orientable`
+    signs: dict = field(default_factory=dict, repr=False)
 
     @property
     def is_pseudomanifold(self):
@@ -360,43 +364,15 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
         orientable=orientable,
         irreducible=irreducible,
         failures=failures,
+        signs=signs,
     )
 
 
-def orientation_signs(K, n=None):
+def orientation_signs(K):
     """Coherent orientation signs {n-simplex: +-1}, or None if K is not
     orientable.  Signs are relative to the sorted vertex ordering."""
-    X = StratifiedComplex.trivial(K, n)
-    rep = verify_pseudomanifold(X)
-    if not rep.orientable:
-        return None
-    top = sorted(K.faces(X.n), key=simplex_key)
-    cofaces = {}
-    for t in top:
-        for v in t:
-            cofaces.setdefault(t - {v}, []).append(t)
-    ordered = {t: tuple(sorted_vertices(t)) for t in top}
-    signs = {}
-    for start in top:
-        if start in signs:
-            continue
-        signs[start] = 1
-        frontier = [start]
-        while frontier:
-            t = frontier.pop()
-            for v in t:
-                f = t - {v}
-                ts = cofaces[f]
-                if len(ts) != 2:
-                    continue
-                u = ts[0] if ts[1] == t else ts[1]
-                if u in signs:
-                    continue
-                ja = ordered[t].index(v)
-                jb = ordered[u].index(next(iter(u - f)))
-                signs[u] = -signs[t] * ((-1) ** ja) * ((-1) ** jb)
-                frontier.append(u)
-    return signs
+    rep = verify_pseudomanifold(StratifiedComplex.trivial(K))
+    return rep.signs if rep.orientable else None
 
 
 def _join(K1, K2):
@@ -428,13 +404,10 @@ def _fresh_labels(used, names):
     return out
 
 
-def cone(L: StratifiedComplex, apex=None):
+def cone(L: StratifiedComplex):
     """Compact cone on L, stratified with the apex as the 0-skeleton and
     the cone on each skeleton of L one level up."""
-    if apex is None:
-        (apex,) = _fresh_labels(L.complex.vertices, ["apex"])
-    elif apex in L.complex.vertices:
-        raise SimplicialError("apex label already used")
+    (apex,) = _fresh_labels(L.complex.vertices, ["apex"])
     point = SimplicialComplex({0: {frozenset([apex])}})
     n = L.n
     skeleta = [point]
@@ -444,14 +417,10 @@ def cone(L: StratifiedComplex, apex=None):
     return StratifiedComplex(skeleta[-1], skeleta, n + 1)
 
 
-def suspension(L: StratifiedComplex, north=None, south=None):
+def suspension(L: StratifiedComplex):
     """Suspension of L: union of two cones, stratified so the i-skeleton
     is the suspension of L's (i-1)-skeleton."""
-    if north is None and south is None:
-        north, south = _fresh_labels(L.complex.vertices, ["N", "S"])
-    for a in (north, south):
-        if a in L.complex.vertices:
-            raise SimplicialError("apex label already used")
+    north, south = _fresh_labels(L.complex.vertices, ["N", "S"])
     poles = SimplicialComplex({0: {frozenset([north]), frozenset([south])}})
     n = L.n
     skeleta = [poles]
@@ -520,7 +489,7 @@ def product(X: StratifiedComplex, M: SimplicialComplex):
     return StratifiedComplex(total, skeleta, n + m)
 
 
-def connected_sum(M1, M2, orientations=(1, 1)):
+def connected_sum(M1, M2):
     """Connected sum of two closed oriented triangulated manifolds.
 
     One facet is removed from each (the canonically lowest) and the
@@ -531,23 +500,22 @@ def connected_sum(M1, M2, orientations=(1, 1)):
     if M1.dimension != M2.dimension:
         raise SimplicialError("dimension mismatch")
     n = M1.dimension
-    reports = []
+    signs = []
     for M in (M1, M2):
         rep = verify_pseudomanifold(StratifiedComplex.trivial(M))
         if not rep.is_pseudomanifold:
             raise SimplicialError("connected sum requires closed manifolds")
         if not rep.orientable:
             raise SimplicialError("connected sum requires orientable summands")
-        reports.append(rep)
-    s1 = orientation_signs(M1)
-    s2 = orientation_signs(M2)
+        signs.append(rep.signs)
+    s1, s2 = signs
     F1 = min(M1.faces(n), key=simplex_key)
     F2 = min(M2.faces(n), key=simplex_key)
     b1 = sorted_vertices(F1)
     b2 = sorted_vertices(F2)
     # Glued orientations cancel when the two removed facets carry opposite
     # signs under the ascending-order identification.
-    flip = s1[F1] * orientations[0] == s2[F2] * orientations[1]
+    flip = s1[F1] == s2[F2]
     if flip:
         b2 = b2[:-2] + [b2[-1], b2[-2]]
     fresh = 0
@@ -681,11 +649,10 @@ def stratum_components(X: StratifiedComplex, d):
     return components
 
 
-def contract_edges(K, protect=()):
+def contract_edges(K):
     """Shrink a complex by contracting edges that satisfy the link
     condition, which preserves PL type on combinatorial manifolds.
     Greedy sweeps in canonical edge order until nothing contracts."""
-    protect = set(protect)
     simplices = set(K.all_simplices())
     idx = {}
     for s in simplices:
@@ -700,10 +667,6 @@ def contract_edges(K, protect=()):
             if e not in simplices:
                 continue
             a, b = sorted_vertices(e)
-            if b in protect:
-                a, b = b, a
-            if b in protect:
-                continue
             # The link condition lk(a) & lk(b) == lk(ab) fails exactly when
             # some s in star(a) avoiding b has (s - a) + b in the complex
             # but not s + b.

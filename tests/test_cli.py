@@ -73,6 +73,15 @@ class TestExitCodes:
     def test_missing_space_file(self, capsys):
         assert main(["compute", "--space", "/does/not/exist.json"]) == 2
 
+    @pytest.mark.parametrize("vertex", [0.5, True])
+    def test_non_integer_vertex(self, tmp_path, capsys, vertex):
+        # 0.5 used to be truncated to the vertex 0, True read as 1
+        p = tmp_path / "float.json"
+        p.write_text(json.dumps({"dimension": 1,
+                                 "maximal_simplices": [[0, vertex]]}))
+        assert main(["compute", "--space", str(p)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     @pytest.mark.parametrize("key", ["-1", "3"])
     def test_skeleton_key_outside_dimension(self, tmp_path, capsys, key):
         p = tmp_path / "skel.json"
@@ -199,6 +208,19 @@ class TestWittClass:
 
     def test_fraction_needs_rationals(self, tmp_path, capsys):
         f = gram_file(tmp_path, {"dimension": 1, "entries": ["1/2"]})
+        assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_zero_denominator(self, tmp_path, capsys):
+        f = gram_file(tmp_path, {"dimension": 1, "entries": ["1/0"]})
+        assert main(["witt-class", "--matrix", f, "--field", "Q"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", [1.5, True])
+    def test_non_integer_entry(self, tmp_path, capsys, entry):
+        # 1.5 used to be read as 1, True as 1
+        f = gram_file(tmp_path, {"dimension": 1, "entries": [entry]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 

@@ -14,11 +14,13 @@ from ihcalc.simplicial import (
     cone,
     connected_sum,
     contract_edges,
+    orientation_signs,
     product,
     product_complex,
     quotient,
     relabel_canonical,
     simplicial_link,
+    sorted_vertices,
     stratum_components,
     suspension,
     verify_pseudomanifold,
@@ -119,6 +121,24 @@ class TestVerification:
         B = sphere2().relabel({i: i + 10 for i in range(4)})
         rep = verify_pseudomanifold(StratifiedComplex.trivial(A.union(B)))
         assert rep.is_pseudomanifold is False or not rep.irreducible
+
+    @pytest.mark.parametrize("name", ["T2", "genus2", "L3_1", "CP2"])
+    def test_orientation_signs_cancel_on_every_face(self, name):
+        # a coherent orientation induces opposite orientations on each
+        # (n-1)-face from its two cofaces
+        K = catalog_build(name).complex
+        signs = orientation_signs(K)
+        assert set(signs) == K.faces(K.dimension)
+        induced = {}
+        for t, sign in signs.items():
+            for j, v in enumerate(sorted_vertices(t)):
+                induced.setdefault(t - {v}, []).append(sign * (-1) ** j)
+        assert len(induced) == len(K.faces(K.dimension - 1))
+        assert all(sorted(s) == [-1, 1] for s in induced.values())
+
+    @pytest.mark.parametrize("name", ["RP2", "Klein"])
+    def test_orientation_signs_non_orientable(self, name):
+        assert orientation_signs(catalog_build(name).complex) is None
 
     def test_codim_one_stratum_rejected_flag(self):
         K = sphere2()
