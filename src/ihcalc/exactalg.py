@@ -1,21 +1,27 @@
 """Exact linear algebra over Q, Z_p, F_{p^m}, and Z.
 
 Everything here is exact: rationals use arbitrary-precision fractions,
-finite fields use table-driven arithmetic on integer-encoded elements,
-and integer computations (Smith normal form, integer kernels) never
-leave Z.  No floating point anywhere.  Rank, kernel and solve run in
-the prime field of the coefficients.  Rank and the Smith normal form
-share one pass of unit pivots taken sparsest column first; mod p it is
-the whole rank, and over Q the echelon routine behind kernel and solve
-finishes the small core it leaves.
+Z_p uses integers mod p, F_{p^m} (at most 2^16 elements) uses
+logarithm and Zech logarithm tables built on first use, and integer
+computations (Smith normal form, integer kernels) never leave Z.  No
+floating point anywhere.  Rank, kernel and solve run in the prime field
+of the coefficients.  Rank and the Smith normal form share one pass of
+unit pivots taken sparsest column first; mod p it is the whole rank,
+and over Q the echelon routine behind kernel and solve finishes the
+small core it leaves.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from math import gcd, lcm
+
+
+# Largest order of an extension field: its tables hold q entries each.
+_MAX_ORDER = 1 << 16
 
 
 class CoefficientError(ValueError):
@@ -134,6 +140,9 @@ class PrimeField:
             raise ZeroDivisionError("inverse of 0")
         return pow(a, self.p - 2, self.p)
 
+    def power(self, a, e):
+        return pow(a, e, self.p)
+
     def from_int(self, n):
         return n % self.p
 
@@ -148,12 +157,6 @@ class PrimeField:
 
     def __repr__(self):
         return f"Z{self.p}"
-
-
-def _poly_trim(c):
-    while c and c[-1] == 0:
-        c = c[:-1]
-    return c
 
 
 def _poly_mulmod(a, b, modulus, p):
@@ -176,11 +179,20 @@ def _poly_mulmod(a, b, modulus, p):
     return tuple(prod[:m])
 
 
+def _poly_powmod(a, e, modulus, p):
+    """a^e mod the modulus by square and multiply."""
+    result = (1,) + (0,) * (len(modulus) - 2)
+    while e:
+        if e & 1:
+            result = _poly_mulmod(result, a, modulus, p)
+        a = _poly_mulmod(a, a, modulus, p)
+        e >>= 1
+    return result
+
+
 def _poly_is_irreducible(poly, p):
     """Trial division by all monic polynomials of degree <= deg/2."""
     m = len(poly) - 1
-    if m == 1:
-        return True
     # roots check doubles as degree-1 trial division
     for d in range(1, m // 2 + 1):
         for idx in range(p**d):
@@ -191,14 +203,11 @@ def _poly_is_irreducible(poly, p):
 
 
 def _poly_divides(divisor, poly, p):
+    """Long division by a monic divisor; true when nothing remains."""
     rem = list(poly)
     dd = len(divisor) - 1
-    while len(_poly_trim(tuple(rem))) - 1 >= dd and any(rem):
-        rem = list(_poly_trim(tuple(rem)))
-        if len(rem) - 1 < dd:
-            break
-        lead = rem[-1]
-        shift = len(rem) - 1 - dd
+    for shift in range(len(rem) - 1 - dd, -1, -1):
+        lead = rem[shift + dd]
         for k in range(dd + 1):
             rem[shift + k] = (rem[shift + k] - lead * divisor[k]) % p
     return not any(rem)
@@ -224,17 +233,21 @@ class FiniteField:
     `smallest_irreducible`.
 
     Elements are ints in [0, p^m) encoding coefficient vectors base p,
-    low-degree digit first.  For small q the full multiplication table is
-    precomputed, so arithmetic is a list lookup.
+    low-degree digit first.  Arithmetic reads three tables of size q,
+    built on first use from a primitive element g: `_exp` (g^k), `_log`
+    and `_zech` (the Zech logarithms log(1 + g^k)).  mul, inv and power
+    add logarithms, and add(a, b) is a * (1 + b/a).  Orders above
+    `_MAX_ORDER` are refused.
     """
-
-    _TABLE_LIMIT = 512
 
     def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise CoefficientError(f"{p} is not prime")
         if m < 1:
             raise CoefficientError("extension degree must be >= 1")
+        # p >= 2, so m > 16 exceeds the bound without forming p**m
+        if m > 16 or p**m > _MAX_ORDER:
+            raise CoefficientError(f"F{p}^{m} has more than {_MAX_ORDER} elements")
         self.p = p
         self.m = m
         self.modulus = smallest_irreducible(p, m)
@@ -243,75 +256,74 @@ class FiniteField:
         self.order = p**m
         self.zero = 0
         self.one = 1
-        self._mul_table = None
-        self._inv_table = None
-        if self.order <= self._TABLE_LIMIT:
-            self._build_tables()
 
-    def _build_tables(self):
-        q, p, m = self.order, self.p, self.m
-        digits = [_int_to_digits(v, p, m) for v in range(q)]
-        table = [[0] * q for _ in range(q)]
-        for a in range(q):
-            for b in range(a, q):
-                v = _digits_to_int(
-                    _poly_mulmod(digits[a], digits[b], self.modulus, p), p
-                )
-                table[a][b] = v
-                table[b][a] = v
-        self._mul_table = table
-        inv = [0] * q
-        for a in range(1, q):
-            row = table[a]
-            for b in range(1, q):
-                if row[b] == 1:
-                    inv[a] = b
-                    break
-        self._inv_table = inv
+    @cached_property
+    def _exp(self):
+        """g^k for k in [0, q-1), g the first element whose power
+        g^((q-1)/r) is not 1 for any prime r dividing q-1."""
+        p, m, mod = self.p, self.m, self.modulus
+        n = self.order - 1
+        one = _int_to_digits(1, p, m)
+        primes = [r for r in range(2, n + 1) if n % r == 0 and is_prime(r)]
+        for g in range(1, self.order):
+            gd = _int_to_digits(g, p, m)
+            if all(_poly_powmod(gd, n // r, mod, p) != one for r in primes):
+                break
+        exp, a = [], one
+        for _ in range(n):
+            exp.append(_digits_to_int(a, p))
+            a = _poly_mulmod(a, gd, mod, p)
+        return exp
+
+    @cached_property
+    def _log(self):
+        """log[g^k] = k; log[0] is None."""
+        log = [None] * self.order
+        for k, a in enumerate(self._exp):
+            log[a] = k
+        return log
+
+    @cached_property
+    def _zech(self):
+        """log(1 + g^k), None where g^k = -1.  Adding 1 changes only the
+        constant digit."""
+        p, log = self.p, self._log
+        return [log[a + 1 if a % p != p - 1 else a + 1 - p] for a in self._exp]
 
     def add(self, a, b):
-        p, m = self.p, self.m
-        da = _int_to_digits(a, p, m)
-        db = _int_to_digits(b, p, m)
-        return _digits_to_int(tuple((x + y) % p for x, y in zip(da, db)), p)
+        if not a:
+            return b
+        if not b:
+            return a
+        log, n = self._log, self.order - 1
+        z = self._zech[(log[b] - log[a]) % n]
+        return 0 if z is None else self._exp[(log[a] + z) % n]
 
     def sub(self, a, b):
-        p, m = self.p, self.m
-        da = _int_to_digits(a, p, m)
-        db = _int_to_digits(b, p, m)
-        return _digits_to_int(tuple((x - y) % p for x, y in zip(da, db)), p)
+        return self.add(a, self.neg(b))
 
     def neg(self, a):
-        p, m = self.p, self.m
-        return _digits_to_int(tuple((-x) % p for x in _int_to_digits(a, p, m)), p)
+        # p - 1 encodes -1, whose logarithm is (q-1)/2, or 0 when p = 2
+        if not a:
+            return 0
+        log = self._log
+        return self._exp[(log[a] + log[self.p - 1]) % (self.order - 1)]
 
     def mul(self, a, b):
-        if self._mul_table is not None:
-            return self._mul_table[a][b]
-        p, m = self.p, self.m
-        return _digits_to_int(
-            _poly_mulmod(
-                _int_to_digits(a, p, m), _int_to_digits(b, p, m), self.modulus, p
-            ),
-            p,
-        )
+        if not a or not b:
+            return 0
+        log = self._log
+        return self._exp[(log[a] + log[b]) % (self.order - 1)]
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
-        if self._inv_table is not None:
-            return self._inv_table[a]
-        return self.power(a, self.order - 2)
+        return self._exp[-self._log[a] % (self.order - 1)]
 
     def power(self, a, e):
-        result = self.one
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        if not a:
+            return 0 if e else 1
+        return self._exp[self._log[a] * e % (self.order - 1)]
 
     def from_int(self, n):
         return n % self.p
@@ -348,8 +360,6 @@ class FiniteField:
 def smallest_irreducible(p: int, m: int) -> tuple:
     """Lexicographically smallest monic irreducible polynomial of degree m
     over Z_p, coefficients compared low-degree-first."""
-    if m == 1:
-        return (0, 1)
     for idx in range(p**m):
         poly = _int_to_digits(idx, p, m) + (1,)
         if _poly_is_irreducible(poly, p):
@@ -359,13 +369,7 @@ def smallest_irreducible(p: int, m: int) -> tuple:
 
 def make_field(p: int, m: int = 1):
     """Z_p for m == 1, otherwise F_{p^m} with the canonical modulus."""
-    if not is_prime(p):
-        raise CoefficientError(f"{p} is not prime")
-    if m < 1:
-        raise CoefficientError("extension degree must be >= 1")
-    if m == 1:
-        return PrimeField(p)
-    return FiniteField(p, m)
+    return PrimeField(p) if m == 1 else FiniteField(p, m)
 
 
 RATIONALS = Rationals()
@@ -396,17 +400,7 @@ def is_square(a, field) -> bool:
     if a == field.zero:
         raise CoefficientError("is_square is undefined at 0")
     q = field.order
-    if q % 2 == 0:
-        return True
-    e = (q - 1) // 2
-    result = field.one
-    base = a
-    while e:
-        if e & 1:
-            result = field.mul(result, base)
-        base = field.mul(base, base)
-        e >>= 1
-    return result == field.one
+    return q % 2 == 0 or field.power(a, (q - 1) // 2) == field.one
 
 
 def smallest_nonsquare(field):
@@ -679,11 +673,14 @@ def kernel_basis(A: ExactMatrix, coeff):
 
 
 def _xgcd(a, b):
+    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
     x0, x1, y0, y1 = 1, 0, 0, 1
     while b:
         q, a, b = a // b, b, a % b
         x0, x1 = x1, x0 - q * x1
         y0, y1 = y1, y0 - q * y1
+    if a < 0:
+        return -a, -x0, -y0
     return a, x0, y0
 
 

@@ -295,7 +295,7 @@ def witt_group(field) -> WittGroupDescr:
         return WittGroupDescr(
             label, "Z-signature", (((1,),),), AbelianGroup(free_rank=1)
         )
-    q = field.p ** getattr(field, "m", 1)
+    q = field.order
     if q % 2 == 0:
         return WittGroupDescr(label, "Z2", (((1,),),), AbelianGroup(0, (2,)))
     if q % 4 == 3:
@@ -349,20 +349,9 @@ def restriction_map(a: WittClass, m: int) -> WittClass:
     if p == 2:
         return WittClass(ext.label, dim0=a.dim0)
     rep = diagonal_representative(a)
-    lifted = BilinearForm(
-        [
-            [ext.from_int(v) for v in row]
-            for row in [[_as_int(x, p) for x in r] for r in rep.rows]
-        ],
-        ext,
-    )
-    if lifted.n == 0:
+    if rep.n == 0:
         return witt_identity(ext)
-    return witt_invariants(lifted)
-
-
-def _as_int(x, p):
-    return int(x) % p
+    return witt_invariants(BilinearForm(rep.rows, ext))
 
 
 def isotropic_vector(form: BilinearForm):
@@ -372,19 +361,15 @@ def isotropic_vector(form: BilinearForm):
     f = form.field
     if isinstance(f, Rationals):
         raise WittError("finite fields only")
-    q = f.p ** getattr(f, "m", 1)
-    if form.n > 6 or q > 49:
+    if form.n > 6 or f.order > 49:
         raise WittError("search bounds exceeded")
-    elements = [f.from_int(i) for i in range(f.p)]
-    if getattr(f, "m", 1) > 1:
-        elements = [i for i in range(q)]
     n = form.n
 
     def vectors(prefix, k):
         if k == n:
             yield tuple(prefix)
             return
-        for e in elements:
+        for e in f.elements():
             yield from vectors(prefix + [e], k + 1)
 
     for lead in range(n):

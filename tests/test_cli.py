@@ -1,8 +1,14 @@
 """Command-line interface: exit codes, file formats, JSON output."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihcalc.cli import main
 
@@ -90,6 +96,28 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"skeleton key '{key}'" in err
         assert "Traceback" not in err
+
+
+    def test_field_above_the_bound(self, capsys):
+        start = time.perf_counter()
+        assert main(["compute", "--catalog", "S2", "--coeff", "Fq:2:64"]) == 2
+        assert time.perf_counter() - start < 1
+        err = capsys.readouterr().err
+        assert "more than 65536 elements" in err
+        assert "Traceback" not in err
+        assert main(["compute", "--catalog", "S2", "--coeff", "Fq:2:16"]) == 0
+
+    def test_subdivision_above_the_bound(self, tmp_path, capsys):
+        # boundary of the 8-simplex: 9 facets, 9 * 8! = 362880 simplices
+        # after one subdivision
+        p = tmp_path / "d8.json"
+        facets = [[v for v in range(9) if v != w] for w in range(9)]
+        p.write_text(json.dumps({"dimension": 7, "maximal_simplices": facets}))
+        start = time.perf_counter()
+        r = main(["compute", "--space", str(p), "--normalize-triangulation"])
+        assert r == 2
+        assert time.perf_counter() - start < 1
+        assert "362880 top simplices" in capsys.readouterr().err
 
 
 class TestCompute:
@@ -269,3 +297,67 @@ class TestCatalogCommand:
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
         assert "L3_1" in out and "dim 3" in out
+
+
+SIMPLEX = st.lists(st.integers(0, 5), min_size=1, max_size=4)
+SPACE_DOC = st.one_of(
+    st.fixed_dictionaries(
+        {
+            "dimension": st.integers(-1, 4),
+            "maximal_simplices": st.lists(SIMPLEX, min_size=1, max_size=5),
+        },
+        optional={
+            "skeleta": st.dictionaries(
+                st.sampled_from(["-1", "0", "1", "2", "3", "x"]),
+                st.lists(SIMPLEX, max_size=2),
+                max_size=3,
+            )
+        },
+    ),
+    st.recursive(
+        st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
+        lambda inner: st.lists(inner, max_size=3)
+        | st.dictionaries(st.sampled_from(["dimension", "maximal_simplices"]), inner),
+        max_leaves=6,
+    ),
+)
+PRIME_ISH = st.integers(-2, 60)
+COEFF_SPEC = st.one_of(
+    st.sampled_from(["Q", "Z", "", "Zp:", "Fq:2", "Fq:a:b", "F9"]),
+    st.builds("Zp:{}".format, PRIME_ISH),
+    st.builds("Fq:{}:{}".format, PRIME_ISH, st.integers(-1, 64)),
+    st.text(max_size=6),
+)
+PERVERSITY_SPEC = st.one_of(
+    st.sampled_from(["0", "m", "n", "t", "p:", "p:x", "q"]),
+    st.lists(st.integers(-2, 4), max_size=4).map(
+        lambda vs: "p:" + ",".join(map(str, vs))
+    ),
+    st.text(max_size=4),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    doc=SPACE_DOC,
+    command=st.sampled_from(["compute", "witt-check"]),
+    coeff=COEFF_SPEC,
+    perversity=PERVERSITY_SPEC,
+    flags=st.lists(
+        st.sampled_from(["--strict", "--normalize-triangulation", "--json"]),
+        unique=True,
+    ),
+)
+def test_cli_fuzz_returns_a_documented_exit_code(doc, command, coeff, perversity, flags):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "space.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = [command, "--space", path, f"--coeff={coeff}", *flags]
+        if command == "compute":
+            argv.append(f"--perversity={perversity}")
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()

@@ -16,6 +16,8 @@ from ihcalc.exactalg import (
     PrimeField,
     RATIONALS,
     _echelon,
+    _poly_mulmod,
+    _xgcd,
     integer_kernel_basis,
     is_prime,
     is_square,
@@ -70,20 +72,109 @@ class TestFiniteFields:
         assert sorted(fixed) == [F9.from_int(i) for i in range(3)]
 
     def test_smallest_irreducible_is_irreducible(self):
-        for p, m in [(2, 3), (3, 3), (5, 2)]:
+        for p, m in [(2, 3), (3, 3), (5, 2), (2, 10)]:
+            # no product of two monic polynomials of positive degree is
+            # the modulus, checked without the package's polynomial code
+            modulus = smallest_irreducible(p, m)
+            assert len(modulus) == m + 1 and modulus[-1] == 1
+            for d in range(1, m // 2 + 1):
+                for f in _monic(p, d):
+                    for g in _monic(p, m - d):
+                        assert _poly_mul(f, g, p) != modulus
+            # so the multiplicative group is cyclic of order q - 1
             F = make_field(p, m)
-            x = F.generator()
-            # the generator satisfies the modulus, so its powers span
-            seen = {F.one}
-            a = F.one
-            for _ in range(p ** m - 2):
-                a = F.mul(a, x)
-                seen.add(a)
-            # x generates a multiplicative subgroup of full field size
-            # only if the modulus is irreducible and x is primitive; we
-            # only check x is not a zero divisor and the field has no
-            # nilpotents
-            assert F.mul(x, F.inv(x)) == F.one
+            q = F.order
+            assert any(_ref_order(F, a) == q - 1 for a in range(1, q))
+
+    def test_field_tables_are_built_on_first_use(self):
+        tables = {"_exp", "_log", "_zech"}
+        assert make_field(2, 16).label == "F2^16"
+        assert not tables & set(vars(make_field(2, 16)))
+        F9 = make_field(3, 2)
+        assert not tables & set(vars(F9))
+        assert F9.add(F9.generator(), F9.one) == F9.from_coeffs((1, 1))
+        assert tables <= set(vars(F9))
+
+    @pytest.mark.parametrize("p, m", [(2, 17), (257, 2), (2, 64), (3, 10**9)])
+    def test_fields_above_the_bound_are_refused(self, p, m):
+        with pytest.raises(CoefficientError, match="more than 65536 elements"):
+            make_field(p, m)
+
+
+def _monic(p, d):
+    """All monic polynomials of degree d over Z_p, low degree first."""
+    for idx in range(p**d):
+        yield tuple(idx // p**k % p for k in range(d)) + (1,)
+
+
+def _poly_mul(f, g, p):
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            out[i + j] = (out[i + j] + a * b) % p
+    return tuple(out)
+
+
+def _digits(F, a):
+    return tuple(a // F.p**k % F.p for k in range(F.m))
+
+
+def _undigits(F, digits):
+    return sum(d * F.p**k for k, d in enumerate(digits))
+
+
+def _ref_mul(F, a, b):
+    return _undigits(F, _poly_mulmod(_digits(F, a), _digits(F, b), F.modulus, F.p))
+
+
+def _ref_power(F, a, e):
+    result = 1
+    while e:
+        if e & 1:
+            result = _ref_mul(F, result, a)
+        a = _ref_mul(F, a, a)
+        e >>= 1
+    return result
+
+
+def _ref_order(F, a):
+    k, b = 1, a
+    while b != 1:
+        k, b = k + 1, _ref_mul(F, b, a)
+    return k
+
+
+# F4, F9, F27, F343, and two fields above 512 elements
+REF_FIELDS = [
+    make_field(p, m) for p, m in ((2, 2), (3, 2), (3, 3), (7, 3), (2, 10), (3, 7))
+]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(REF_FIELDS).flatmap(
+        lambda F: st.tuples(
+            st.just(F),
+            st.integers(0, F.order - 1),
+            st.integers(0, F.order - 1),
+            st.integers(0, 2 * F.order),
+        )
+    )
+)
+def test_field_arithmetic_matches_polynomial_reference(case):
+    F, a, b, e = case
+    da, db = _digits(F, a), _digits(F, b)
+    assert F.add(a, b) == _undigits(F, [(x + y) % F.p for x, y in zip(da, db)])
+    assert F.sub(a, b) == _undigits(F, [(x - y) % F.p for x, y in zip(da, db)])
+    assert F.neg(a) == _undigits(F, [-x % F.p for x in da])
+    assert F.mul(a, b) == _ref_mul(F, a, b)
+    assert F.power(a, e) == _ref_power(F, a, e)
+    if a:
+        assert F.inv(a) == _ref_power(F, a, F.order - 2)
+        assert _ref_mul(F, a, F.inv(a)) == 1
+    else:
+        with pytest.raises(ZeroDivisionError):
+            F.inv(a)
 
 
 class TestSquares:
@@ -182,6 +273,15 @@ class TestKernels:
         A = ExactMatrix.from_rows([[2, 4]])
         basis = integer_kernel_basis(A)
         assert basis == [[2, -1]] or basis == [[-2, 1]]
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [(2, -3), (-2, 3), (-2, -3), (2, 3), (12, -18), (-7, 7), (0, -5), (-5, 0)],
+    )
+    def test_xgcd_gives_positive_gcd_and_bezout(self, a, b):
+        g, x, y = _xgcd(a, b)
+        assert g == gcd(a, b)
+        assert a * x + b * y == g
 
     def test_integer_kernel_annihilates(self):
         rng = random.Random(7)

@@ -30,3 +30,37 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unread_private_names(sources):
+    """Module-level `_`-prefixed functions, classes and constants that no
+    module in `sources` (a list of source texts) reads."""
+    defined, read = set(), set()
+    for source in sources:
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    private = {n for n in defined if n.startswith("_") and not n.startswith("__")}
+    return sorted(private - read)
+
+
+def test_unread_private_name_is_detected():
+    a = "_LIMIT = 3\n\ndef _used():\n    return 1\n\ndef _dead():\n    return _used()\n"
+    b = "from a import _LIMIT\n"
+    assert unread_private_names([a, b]) == ["_dead"]
+
+
+def test_no_unread_private_names():
+    sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
+    assert unread_private_names(sources) == []
