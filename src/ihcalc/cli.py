@@ -58,6 +58,9 @@ EXIT_DEGENERATE = 5
 # One barycentric subdivision turns a d-simplex into (d+1)! simplices;
 # --normalize-triangulation refuses to build more top simplices than this.
 _MAX_SUBDIVISION_SIMPLICES = 200_000
+# A space file declares at most this dimension; a simplex of it has
+# 2^13 faces.
+_MAX_DIMENSION = 12
 
 
 class CliError(Exception):
@@ -121,9 +124,19 @@ def _json_int(v):
     return int(v)
 
 
+def _simplices(gens, i):
+    """Vertex sets from JSON lists, each of dimension at most i."""
+    out = [frozenset(_json_int(v) for v in s) for s in gens]
+    if any(len(s) > i + 1 for s in out):
+        raise ValueError(f"a simplex has dimension above {i}")
+    return out
+
+
 def load_space_file(path):
     """JSON document with dimension, maximal_simplices, and optional
-    skeleta (map from skeleton index to generating simplices)."""
+    skeleta (map from skeleton index to generating simplices).  Every
+    simplex is checked against the dimension it is given for, and the
+    dimension against _MAX_DIMENSION, before any face is listed."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -131,22 +144,16 @@ def load_space_file(path):
         raise CliError(f"cannot read space file {path}: {e}", EXIT_PARSE)
     try:
         n = _json_int(doc["dimension"])
-        maximal = [
-            frozenset(_json_int(v) for v in s) for s in doc["maximal_simplices"]
-        ]
-        K = build_complex(maximal)
+        if n > _MAX_DIMENSION:
+            raise ValueError(f"dimension {n} is above {_MAX_DIMENSION}")
+        maximal = _simplices(doc["maximal_simplices"], n)
         skel_map = {}
         for key, gens in (doc.get("skeleta") or {}).items():
             i = int(key)
             if not 0 <= i <= n:
                 raise ValueError(f"skeleton key {key!r} is outside 0..{n}")
-            if gens:
-                skel_map[i] = SimplicialComplex.from_maximal(
-                    [frozenset(_json_int(v) for v in s) for s in gens]
-                )
-            else:
-                skel_map[i] = SimplicialComplex.empty()
-        return StratifiedComplex.from_skeleton_map(K, skel_map, n)
+            skel_map[i] = SimplicialComplex.from_maximal(_simplices(gens or (), i))
+        return StratifiedComplex.from_skeleton_map(build_complex(maximal), skel_map, n)
     except (KeyError, TypeError, ValueError, SimplicialError) as e:
         raise CliError(f"bad space file {path}: {e}", EXIT_PARSE)
 
@@ -312,8 +319,6 @@ def cmd_witt_class(args):
     if field is INTEGERS:
         raise CliError("Witt classes live over fields", EXIT_PARSE)
     form = load_gram_matrix(args.matrix, field)
-    if not form.is_nondegenerate():
-        raise CliError("degenerate Gram matrix", EXIT_DEGENERATE)
     try:
         cls = witt_invariants(form)
     except WittError as e:

@@ -8,7 +8,10 @@ floating point anywhere.  Rank, kernel and solve run in the prime field
 of the coefficients.  Rank and the Smith normal form share one pass of
 unit pivots taken sparsest column first; mod p it is the whole rank,
 and over Q the echelon routine behind kernel and solve finishes the
-small core it leaves.
+small core it leaves.  `kernel_image`, which every homology table uses,
+first runs that pass on a chosen set of rows, then finishes with the
+rank or the Smith normal form on the same index.  Primes must be below
+2^64.
 """
 
 from __future__ import annotations
@@ -28,18 +31,33 @@ class CoefficientError(ValueError):
     """Raised for invalid coefficient specifications or misuse."""
 
 
+# Miller-Rabin over the primes up to 37 is exact below 3.18e23; a prime
+# at or above _PRIME_LIMIT is refused rather than tested.
+_PRIME_LIMIT = 1 << 64
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin test; CoefficientError for n >= 2^64."""
+    if n >= _PRIME_LIMIT:
+        raise CoefficientError(f"{n} is not below 2^64")
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for a in _WITNESSES:
+        if n % a == 0:
+            return n == a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s, d odd
+    d = (n - 1) >> s
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -612,15 +630,16 @@ def _drop(rows, cols, pr, pc):
     del cols[pc]
 
 
-def _unit_pivots(rows, cols, p):
+def _unit_pivots(rows, cols, p, only=None):
     """Eliminate unit pivots in place, sparsest column first (a lazy heap:
     a stale count is pushed again) and the shortest row holding a unit in
     it; return their number.  Mod a prime p every nonzero entry is a unit
     and the count is the rank; for p == 0 the units are +-1 and a core is
     left.  A pivot clears its column by row operations, then its row and
     column are dropped: clearing the row by column operations would touch
-    no other row, so the pass also serves the Smith normal form."""
-    heap = [(len(col), c) for c, col in cols.items()]
+    no other row, so the pass also serves the Smith normal form.  Given
+    `only`, pivot columns are taken from it alone."""
+    heap = [(len(col), c) for c, col in cols.items() if only is None or c in only]
     heapq.heapify(heap)
     count = 0
     while heap:
@@ -651,9 +670,52 @@ def rank(A: ExactMatrix, coeff) -> int:
     they are the whole rank, and over Q `_echelon` finishes the small
     core they leave."""
     p = prime_field(coeff).char
-    rows, cols = _index(A.entries, p)
+    return _rank(*_index(A.entries, p), p)
+
+
+def _rank(rows, cols, p):
     count = _unit_pivots(rows, cols, p)
     return count + len(_echelon([r for r in rows.values() if r], p)[0])
+
+
+def _euclid(rows, cols, c):
+    """Clear the nonempty column c down to one row by integer row
+    operations, each round subtracting multiples of the entry of least
+    absolute value; return that row."""
+    col = cols[c]
+    while True:
+        pr = min(col, key=lambda r: (abs(rows[r][c]), len(rows[r]), r))
+        if len(col) == 1:
+            return pr
+        for r in list(col):
+            if r != pr:
+                _add_row(rows, cols, pr, r, -(rows[r][c] // rows[pr][c]), 0)
+
+
+def kernel_image(A: ExactMatrix, rows, coeff):
+    """(r, image) for the rows R = `rows` of A and K = ker A_R: r is the
+    rank of A_R (over Q when coeff is Z), image the rank of A(K) over a
+    field, or over Z the SNFResult of the lattice A(K & Z^ncols).
+
+    Column operations on A are row operations on its transpose, which is
+    what is indexed.  Unit pivots are taken in the rows R only
+    (`_unit_pivots`); over Q and Z, Euclid steps then clear the core they
+    leave in R, and mod p none is left.  A pivot column of A is the only
+    column left with an entry in its pivot row, so no element of K uses
+    it, and it is dropped.  The operations are unimodular, so the
+    columns that remain span A(K) over Z as well, and the rank or the
+    Smith normal form finishes on the same index."""
+    integral = isinstance(coeff, Integers)
+    p = 0 if integral else prime_field(coeff).char
+    entries = _integer_entries(A) if integral else A.entries
+    idx, cols = _index({(c, r): v for (r, c), v in entries.items()}, p)
+    bad = cols.keys() & set(rows)
+    count = _unit_pivots(idx, cols, p, only=bad)
+    for c in sorted(bad):
+        if cols.get(c):
+            _drop(idx, cols, _euclid(idx, cols, c), c)
+            count += 1
+    return count, (_smith(idx, cols) if integral else _rank(idx, cols, p))
 
 
 def kernel_basis(A: ExactMatrix, coeff):
@@ -764,92 +826,52 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
 
     First eliminates +-1 pivots, sparsest column first and shortest row
     within it (`_unit_pivots`, the pass `rank` runs), each contributing
-    an invariant factor 1.  The remaining core goes through elementary
-    row/column operations with a smallest-absolute-value pivot, ties
-    broken by position.  Invariant factors are unique, so the pre-pass
-    does not change the result."""
+    an invariant factor 1.  The remaining core is cleared a column at a
+    time, sparsest first: Euclid steps on rows (`_euclid`, as in
+    `kernel_image`) leave one entry g in it, and column operations
+    reduce the rest of its row mod g; a remainder becomes the next
+    pivot column.  Invariant factors are unique, so the pre-pass does
+    not change the result."""
+    return _smith(*_index(_integer_entries(A), 0))
+
+
+def _integer_entries(A):
     if any(
         not isinstance(v, int) and getattr(v, "denominator", 0) != 1
         for v in A.entries.values()
     ):
-        raise CoefficientError("smith_normal_form requires integer entries")
-    rows, cols = _index({k: int(v) for k, v in A.entries.items()}, 0)
+        raise CoefficientError("integer coefficients need integer entries")
+    return {k: int(v) for k, v in A.entries.items()}
+
+
+def _smith(rows, cols):
     diag = [1] * _unit_pivots(rows, cols, 0)
-
-    def add_col(src, dst, factor):
-        for r in list(cols[src]):
-            nv = rows[r].get(dst, 0) + factor * rows[r][src]
-            if nv:
-                rows[r][dst] = nv
-                cols[dst][r] = None
-            else:
-                del rows[r][dst]
-                del cols[dst][r]
-
     while True:
-        best = None
-        for r in sorted(rows):
-            row = rows[r]
-            if not row:
-                continue
-            for c in sorted(row):
-                v = abs(row[c])
-                if best is None or v < best[0]:
-                    best = (v, r, c)
-            if best is not None and best[0] == 1:
-                break
-        if best is None:
+        live = [c for c, col in cols.items() if col]
+        if not live:
             break
-        _, pr, pc = best
+        c = min(live, key=lambda c: (len(cols[c]), c))
         while True:
-            pv = rows[pr][pc]
-            done = True
-            # clear the pivot column
-            for r in sorted(cols.get(pc, {})):
-                if r == pr:
-                    continue
-                v = rows[r].get(pc)
-                if v is None:
-                    continue
-                q = v // pv
-                if q:
-                    _add_row(rows, cols, pr, r, -q, 0)
-                if rows[r].get(pc):
-                    # remainder smaller than pivot: swap roles
-                    pr = r
-                    done = False
-                    break
-            if not done:
-                continue
-            # clear the pivot row
-            for c in sorted(rows.get(pr, {})):
-                if c == pc:
-                    continue
-                v = rows[pr].get(c)
-                if v is None:
-                    continue
-                q = v // pv
-                if q:
-                    add_col(pc, c, -q)
-                if rows[pr].get(c):
-                    pc = c
-                    done = False
-                    break
-            if done:
+            pr = _euclid(rows, cols, c)
+            row, g = rows[pr], rows[pr][c]
+            # column operations against column c, whose only entry is in
+            # row pr, reduce the rest of that row mod g and touch nothing else
+            for cc in [cc for cc in row if cc != c]:
+                if row[cc] % g:
+                    row[cc] %= g
+                else:
+                    del row[cc], cols[cc][pr]
+            if len(row) == 1:
                 break
-        diag.append(abs(rows[pr][pc]))
-        _drop(rows, cols, pr, pc)
+            c = min((cc for cc in row if cc != c), key=lambda cc: abs(row[cc]))
+        diag.append(abs(g))
+        _drop(rows, cols, pr, c)
 
-    # repair the divisibility chain
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag)):
-            for j in range(i + 1, len(diag)):
-                a, b = diag[i], diag[j]
-                if b % a:
-                    g = gcd(a, b)
-                    diag[i], diag[j] = g, a * b // g
-                    changed = True
-    diag.sort()
-    return SNFResult(tuple(diag), len(diag))
+    # repair the divisibility chain: (a, b) -> (gcd, lcm) keeps Z/a + Z/b,
+    # and after one sweep each entry divides all later ones; 1s stay put
+    tors = [d for d in diag if d > 1]
+    for i in range(len(tors)):
+        for j in range(i + 1, len(tors)):
+            g = gcd(tors[i], tors[j])
+            tors[i], tors[j] = g, tors[i] * tors[j] // g
+    return SNFResult((1,) * (len(diag) - len(tors)) + tuple(tors), len(diag))

@@ -8,17 +8,19 @@ is not the field-coefficient complex), so nothing here tensors from Z.
 
 Field extension is flat, so the complex over F_{p^m} is the complex over
 Z_p tensored up: F_{p^m} tables are computed in the prime field Z_p and
-keep their own label.  Integral torsion comes from one Smith normal form
-per degree, of the boundaries of the chain lattice in face coordinates.
+keep their own label.
 
-There is one chain-assembly path.  `_ChainData` sorts each degree's
-faces once; the allowable simplices are a filter of that list, D[i] comes
-from `_boundary_matrix` (which `ordinary_homology` uses too), and B[i] is
-D[i] on the non-allowable rows.  `_boundaries` pushes chains through D[i]
-and checks that none leaks onto a non-allowable face, for the integral
-table and for `intersection_chain_complex`; the latter then changes basis
-with `solve_columns`, which keeps it an independent reference for the
-integral table.
+There is one chain-assembly path and one table path.  `_ChainData`
+sorts each degree's faces once; the allowable simplices are a filter of
+that list, D[i] comes from `_boundary_matrix` (which `ordinary_homology`
+uses too), and bad[i] lists its rows on non-allowable faces.
+`_homology_table` makes one `exactalg.kernel_image` call per degree:
+column operations on D[i] clear its bad rows, and what is left spans
+the boundaries of the allowable chains, ranked over a field or put in
+Smith normal form over Z.  `ordinary_homology` passes no bad rows.
+`intersection_chain_complex` builds explicit bases with kernel lattices
+instead, and changes basis with `solve_columns`; it is an independent
+reference for the tables.
 """
 
 from dataclasses import dataclass
@@ -30,9 +32,8 @@ from .exactalg import (
     PrimeField,
     integer_kernel_basis,
     kernel_basis,
+    kernel_image,
     prime_field,
-    rank,
-    smith_normal_form,
     solve_columns,
 )
 from .simplicial import (
@@ -183,8 +184,9 @@ class _ChainData:
 
     For each degree i: A[i] is the sorted list of allowable i-simplices,
     D[i] the boundary matrix from span A[i] to the full chain group one
-    degree down, and B[i] the rows of D[i] on non-allowable faces.  The
-    intersection chain group in degree i is the kernel of B[i].
+    degree down, bad[i] the rows of D[i] on non-allowable faces and B[i]
+    those rows.  The intersection chain group in degree i is the kernel
+    of B[i].
     allow_rows[i] maps the row of each allowable face of D[i] to its
     position in A[i - 1].
     """
@@ -201,6 +203,7 @@ class _ChainData:
         self.A = [[s for s, a in zip(faces[i], ok[i]) if a] for i in range(n + 1)]
         self.D = [None] * (n + 1)
         self.B = [None] * (n + 1)
+        self.bad = [None] * (n + 1)
         self.allow_rows = [None] * (n + 1)
         for i in range(1, n + 1):
             D = _boundary_matrix(self.A[i], faces[i - 1])
@@ -208,6 +211,7 @@ class _ChainData:
             bad = [r for r, a in enumerate(ok[i - 1]) if not a]
             bad_pos = {r: k for k, r in enumerate(bad)}
             self.D[i] = D
+            self.bad[i] = bad
             self.B[i] = ExactMatrix(
                 len(bad),
                 D.ncols,
@@ -226,21 +230,6 @@ def _combine(cols, coeffs, p):
     if p:
         return {r: v % p for r, v in acc.items() if v % p}
     return {r: v for r, v in acc.items() if v}
-
-
-def _boundaries(data, i, vectors, p):
-    """Boundaries D[i] u of dense vectors u over span A[i], as sparse
-    columns in face coordinates, mod p if p > 0.  Each must lie on
-    allowable faces."""
-    Dcols = data.D[i].col_dicts()
-    good = data.allow_rows[i]
-    out = []
-    for u in vectors:
-        col = _combine(Dcols, enumerate(u), p)
-        if not col.keys() <= good.keys():
-            raise PerversityError("boundary leaked onto a bad face")
-        out.append(col)
-    return out
 
 
 @dataclass(frozen=True)
@@ -317,65 +306,32 @@ class IHTable:
         return out
 
 
-def _field_table(data, coeff):
-    n = data.n
-    field = prime_field(coeff)
-    rank_D = [0] * (n + 2)
-    rank_B = [0] * (n + 2)
-    for i in range(1, n + 1):
-        rank_D[i] = rank(data.D[i], field)
-        rank_B[i] = rank(data.B[i], field)
-    a = [len(s) for s in data.A]
-    return IHTable(
-        coeff_label=coeff.label,
-        n=n,
-        dims=tuple(
-            a[i] - rank_D[i] - rank_D[i + 1] + rank_B[i + 1] for i in range(n + 1)
-        ),
-        chain_dims=tuple(a[i] - rank_B[i] for i in range(n + 1)),
-    )
-
-
-def _integral_table(data):
-    """Integral table from one Smith normal form per degree.
-
-    The cycles of the lattice L_i = Z^{A_i} & ker B_i are saturated in
-    Z^{A_i}, so the torsion of H_i is that of Z^{A_i} modulo the
-    boundaries D_{i+1} U_{i+1} of a basis U_{i+1} of L_{i+1}, in face
-    coordinates; the same normal form gives the boundary rank."""
-    n = data.n
-    # U[i]: basis of L_i, the integer kernel of the bad-row boundary
-    # (saturated by construction).
-    a0 = len(data.A[0])
-    U = [[[int(j == t) for j in range(a0)] for t in range(a0)]]
-    for i in range(1, n + 1):
-        U.append(integer_kernel_basis(data.B[i]))
-    mats = [None] * (n + 1)
-    for i in range(1, n + 1):
-        cols = _boundaries(data, i, U[i], 0)
-        entries = {(r, j): v for j, col in enumerate(cols) for r, v in col.items()}
-        mats[i] = ExactMatrix(data.D[i].nrows, len(U[i]), entries)
-    return _smith_table([len(u) for u in U], mats)
-
-
-def _smith_table(sizes, mats):
-    """Integral table of a complex of free groups of the given ranks,
-    from one Smith normal form of each boundary mats[i], i = 1..n, given
-    in coordinates in which the cycles are saturated."""
+def _homology_table(coeff, sizes, D, bad):
+    """Table of the complex whose degree-i chains are the elements of
+    the free module on sizes[i] generators that the rows bad[i] of the
+    boundary D[i] (i = 1..n) send to 0.  One `kernel_image` per degree
+    gives the lost chain rank and the boundaries; the cycles are
+    saturated, so over Z the boundaries' Smith normal form in face
+    coordinates holds the torsion."""
     n = len(sizes) - 1
-    ranks = [0] * (n + 2)
+    integral = isinstance(coeff, Integers)
+    if not integral:
+        prime_field(coeff)  # rejects an unsupported ring even when n == 0
+    chains = list(sizes)
+    image = [0] * (n + 2)
     tors = [()] * (n + 1)
     for i in range(1, n + 1):
-        snf = smith_normal_form(mats[i])
-        ranks[i] = snf.rank
-        tors[i - 1] = snf.torsion
-    return IHTable(
-        coeff_label="Z",
-        n=n,
-        free_ranks=tuple(sizes[i] - ranks[i] - ranks[i + 1] for i in range(n + 1)),
-        torsion=tuple(tors),
-        chain_dims=tuple(sizes),
-    )
+        lost, img = kernel_image(D[i], bad[i], coeff)
+        chains[i] -= lost
+        if integral:
+            image[i], tors[i - 1] = img.rank, img.torsion
+        else:
+            image[i] = img
+    ranks = tuple(chains[i] - image[i] - image[i + 1] for i in range(n + 1))
+    if integral:
+        return IHTable(coeff_label="Z", n=n, free_ranks=ranks,
+                       torsion=tuple(tors), chain_dims=tuple(chains))
+    return IHTable(coeff_label=coeff.label, n=n, dims=ranks, chain_dims=tuple(chains))
 
 
 def ih_homology(X: StratifiedComplex, pbar: Perversity, coeff) -> IHTable:
@@ -386,9 +342,7 @@ def ih_homology(X: StratifiedComplex, pbar: Perversity, coeff) -> IHTable:
             f"perversity is for dimension {pbar.n}, space has {X.n}"
         )
     data = _ChainData(X, pbar)
-    if isinstance(coeff, Integers):
-        return _integral_table(data)
-    return _field_table(data, coeff)
+    return _homology_table(coeff, [len(a) for a in data.A], data.D, data.bad)
 
 
 @dataclass
@@ -426,11 +380,14 @@ def intersection_chain_complex(X, pbar, coeff):
         if not bases[i] or not bases[i - 1]:
             boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i])))
             continue
-        pos = data.allow_rows[i]
-        targets = [
-            {pos[r]: v for r, v in col.items()}
-            for col in _boundaries(data, i, bases[i], p)
-        ]
+        # boundaries of the basis vectors, in the coordinates of A[i - 1]
+        Dcols, pos = data.D[i].col_dicts(), data.allow_rows[i]
+        targets = []
+        for u in bases[i]:
+            col = _combine(Dcols, enumerate(u), p)
+            if not col.keys() <= pos.keys():
+                raise PerversityError("boundary leaked onto a bad face")
+            targets.append({pos[r]: v for r, v in col.items()})
         basis_cols = [{t: c for t, c in enumerate(u) if c} for u in bases[i - 1]]
         sols = solve_columns(basis_cols, targets, ring)
         entries = {(r, j): v for j, sol in enumerate(sols) for r, v in sol.items()}
@@ -459,24 +416,8 @@ def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
     intersection machinery is checked against on manifolds."""
     n = max(C.dimension, 0)
     faces = [sorted(C.faces(i), key=simplex_key) for i in range(n + 1)]
-    mats = [None] * (n + 2)
-    for i in range(1, n + 1):
-        mats[i] = _boundary_matrix(faces[i], faces[i - 1])
-    if isinstance(coeff, Integers):
-        return _smith_table([len(f) for f in faces], mats)
-    field = prime_field(coeff)
-    ranks = [0] * (n + 2)
-    for i in range(1, n + 1):
-        ranks[i] = rank(mats[i], field)
-    dims = tuple(
-        len(faces[i]) - ranks[i] - ranks[i + 1] for i in range(n + 1)
-    )
-    return IHTable(
-        coeff_label=coeff.label,
-        n=n,
-        dims=dims,
-        chain_dims=tuple(len(f) for f in faces),
-    )
+    D = [None] + [_boundary_matrix(faces[i], faces[i - 1]) for i in range(1, n + 1)]
+    return _homology_table(coeff, [len(f) for f in faces], D, [()] * (n + 1))
 
 
 @dataclass

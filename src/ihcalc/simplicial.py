@@ -201,6 +201,8 @@ class StratifiedComplex:
             raise SimplicialError(
                 f"need {n + 1} skeleta for formal dimension {n}, got {len(skeleta)}"
             )
+        if complex.dimension > n:
+            raise SimplicialError(f"complex has dimension above {n}")
         if skeleta[n] != complex:
             raise SimplicialError("top skeleton must be the whole complex")
         for i in range(n):

@@ -129,12 +129,12 @@ class BilinearForm:
 
 def diagonalize(form: BilinearForm):
     """Congruent diagonalization: returns (diagonal entries, P) with
-    P^T G P equal to the diagonal matrix.  Characteristic must not be 2."""
+    P^T G P equal to the diagonal matrix.  Characteristic must not be 2.
+    Raises WittError on a degenerate form: a pivot that neither a swap
+    nor a column addition makes nonzero leaves a zero row."""
     f = form.field
     if getattr(f, "p", 0) == 2:
         raise WittError("diagonalization needs odd characteristic")
-    if not form.is_nondegenerate():
-        raise WittError("form is degenerate")
     n = form.n
     G = [row[:] for row in form.rows]
     P = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
@@ -220,8 +220,6 @@ def _square_class(a, field):
 def witt_invariants(form: BilinearForm) -> WittClass:
     f = form.field
     label = f.label
-    if not form.is_nondegenerate():
-        raise WittError("form is degenerate")
     n = form.n
     if isinstance(f, Rationals):
         if n == 0:
@@ -230,6 +228,8 @@ def witt_invariants(form: BilinearForm) -> WittClass:
         sig = sum(1 if d > 0 else -1 for d in diag)
         return WittClass(label, signature=sig)
     if f.p == 2:
+        if not form.is_nondegenerate():
+            raise WittError("form is degenerate")
         return WittClass(label, dim0=n % 2)
     if n == 0:
         return WittClass(label, dim0=0, dpm="square")

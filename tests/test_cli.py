@@ -97,6 +97,47 @@ class TestExitCodes:
         assert f"skeleton key '{key}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            # a filled triangle and a solid tetrahedron, each declared one
+            # dimension too low
+            {"dimension": 1, "maximal_simplices": [[0, 1, 2]]},
+            {"dimension": 2, "maximal_simplices": [[0, 1, 2, 3]]},
+            {**SUSP_S1, "skeleta": {"0": [[3, 4]]}},
+        ],
+    )
+    def test_simplex_above_its_dimension(self, tmp_path, capsys, doc):
+        p = tmp_path / "low.json"
+        p.write_text(json.dumps(doc))
+        assert main(["compute", "--space", str(p), "--coeff", "Q"]) == 2
+        assert "dimension above" in capsys.readouterr().err
+
+    def test_dimension_above_the_bound(self, tmp_path, capsys):
+        # one 29-simplex would list 2^30 faces
+        p = tmp_path / "d29.json"
+        p.write_text(json.dumps({"dimension": 29, "maximal_simplices": [list(range(30))]}))
+        start = time.perf_counter()
+        assert main(["compute", "--space", str(p), "--coeff", "Zp:2"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "dimension 29 is above 12" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compute", "--catalog", "S2", "--coeff", "Zp:2305843009213693951"],
+            ["bordism", "--n", "4", "--p", "2305843009213693951"],
+        ],
+    )
+    def test_large_prime(self, capsys, argv):
+        # 2^61 - 1
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1
+
+    def test_prime_above_the_bound(self, capsys):
+        assert main(["compute", "--catalog", "S2", "--coeff", "Zp:18446744073709551629"]) == 2
+        assert "not below 2^64" in capsys.readouterr().err
 
     def test_field_above_the_bound(self, capsys):
         start = time.perf_counter()
@@ -360,4 +401,72 @@ def test_cli_fuzz_returns_a_documented_exit_code(doc, command, coeff, perversity
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in {0, 2, 3, 4, 5}
+    assert "Traceback" not in err.getvalue()
+
+
+INT_ENTRY = st.one_of(st.integers(-3, 9), st.integers(-3, 9).map(str))
+FRACTION_ENTRY = st.builds("{}/{}".format, st.integers(-3, 3), st.integers(-1, 3))
+POLY_ENTRY = st.lists(st.integers(-2, 9), max_size=4).map(
+    lambda cs: "poly:" + ",".join(map(str, cs))
+)
+GRAM_ENTRY = st.one_of(
+    INT_ENTRY,
+    FRACTION_ENTRY,
+    POLY_ENTRY,
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.none(),
+    st.sampled_from(["", "x", "1/", "poly:", "poly:a"]),
+)
+
+
+def _symmetric_docs(entry):
+    """Gram documents of dimension 0..3 whose entries mirror an upper
+    triangle drawn from `entry`."""
+
+    def mirrored(n, upper):
+        rows = [[None] * n for _ in range(n)]
+        it = iter(upper)
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = next(it)
+        return {"dimension": n, "entries": [v for row in rows for v in row]}
+
+    return st.integers(0, 3).flatmap(
+        lambda n: st.lists(
+            entry, min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+        ).map(lambda upper: mirrored(n, upper))
+    )
+
+
+GRAM_DOC = st.one_of(
+    _symmetric_docs(INT_ENTRY),
+    _symmetric_docs(st.one_of(INT_ENTRY, FRACTION_ENTRY)),
+    _symmetric_docs(st.one_of(INT_ENTRY, POLY_ENTRY)),
+    _symmetric_docs(GRAM_ENTRY),
+    st.fixed_dictionaries(
+        {
+            "dimension": st.one_of(st.integers(-2, 4), GRAM_ENTRY),
+            "entries": st.one_of(st.lists(GRAM_ENTRY, max_size=5), GRAM_ENTRY),
+        }
+    ),
+)
+FIELD_SPEC = st.one_of(
+    st.sampled_from(["Q", "Z", "Zp:2", "Zp:3", "Zp:5", "Fq:2:2", "Fq:3:2", "Fq:5:2"]),
+    COEFF_SPEC,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(doc=GRAM_DOC, field=FIELD_SPEC, as_json=st.booleans())
+def test_witt_class_fuzz_returns_a_documented_exit_code(doc, field, as_json):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "gram.json")
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        argv = ["witt-class", "--matrix", path, f"--field={field}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--json"] * as_json)
+    assert code in {0, 2, 5}
     assert "Traceback" not in err.getvalue()

@@ -18,10 +18,12 @@ from ihcalc.exactalg import (
     _echelon,
     _poly_mulmod,
     _xgcd,
+    SNFResult,
     integer_kernel_basis,
     is_prime,
     is_square,
     kernel_basis,
+    kernel_image,
     make_field,
     prime_field,
     rank,
@@ -37,6 +39,32 @@ from ihcalc.simplicial import simplex_key
 
 def test_is_prime_small():
     assert [p for p in range(20) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19]
+
+
+def _trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n**0.5) + 1))
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10**5) if is_prime(n)] == [
+        n for n in range(10**5) if _trial_division(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "n", [2047, 1373653, 25326001, 3215031751, 3825123056546413051]
+)
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    # each passes the strong test to several of the smallest bases
+    assert not is_prime(n)
+
+
+def test_is_prime_near_the_bound():
+    assert is_prime(2**61 - 1)
+    assert is_prime(2**64 - 59)  # the largest prime below 2^64
+    assert not is_prime(2**64 - 1)
+    with pytest.raises(CoefficientError, match="not below 2\\^64"):
+        is_prime(2**64 + 13)
 
 
 class TestFiniteFields:
@@ -358,6 +386,17 @@ class TestSmithNormalForm:
     def test_zero_matrix(self):
         assert smith_normal_form(ExactMatrix(3, 2)).rank == 0
 
+    @pytest.mark.parametrize(
+        "diag, want",
+        [((4, 6, 10), (2, 2, 60)), ((6, 10, 15), (1, 30, 30)), ((9, 4, 6), (1, 6, 36))],
+    )
+    def test_divisor_chain_of_a_diagonal(self, diag, want):
+        # a diagonal core with no unit pivot: every order of its entries
+        # gives the same chain
+        for perm in permutations(diag):
+            A = ExactMatrix(3, 3, {(i, i): d for i, d in enumerate(perm)})
+            assert smith_normal_form(A).invariant_factors == want
+
     def test_unit_prepass_leaves_nonunit_core(self):
         # the +-1 pivots clear the first column; the core diag(-2, 3) has
         # no unit entry and goes through the general loop
@@ -548,3 +587,67 @@ def test_kernel_dimension_matches_rank(rows):
     for coeff in (RATIONALS, PrimeField(3)):
         assert len(kernel_basis(A, coeff)) == n - rank(A, coeff)
     assert len(integer_kernel_basis(A)) == n - rank(A, RATIONALS)
+
+
+def _rows_of(A, R):
+    return ExactMatrix(
+        A.nrows, A.ncols, {(r, c): v for (r, c), v in A.entries.items() if r in R}
+    )
+
+
+def _image_of(A, vectors):
+    """The matrix whose columns are A u for the dense vectors u."""
+    cols = A.col_dicts()
+    entries = {}
+    for j, u in enumerate(vectors):
+        for c, x in enumerate(u):
+            for r, v in cols[c].items():
+                entries[(r, j)] = entries.get((r, j), 0) + x * v
+    return ExactMatrix(A.nrows, len(vectors), entries)
+
+
+class TestKernelImage:
+    def test_euclid_core(self):
+        # no unit in the bad row [2, 4]: its integer kernel is (2, -1),
+        # which the second row sends to 2
+        A = ExactMatrix.from_rows([[2, 4], [1, 0]])
+        assert kernel_image(A, [0], INTEGERS) == (1, SNFResult((2,), 1))
+        assert kernel_image(A, [0], RATIONALS) == (1, 1)
+        assert kernel_image(A, [0], PrimeField(3)) == (1, 1)
+        # mod 2 the bad row vanishes
+        assert kernel_image(A, [0], PrimeField(2)) == (0, 1)
+
+    def test_no_rows_is_rank_and_smith_normal_form(self):
+        A = ExactMatrix.from_rows([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
+        assert kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A))
+        assert kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(
+                st.lists(st.integers(-4, 4), min_size=n, max_size=n),
+                min_size=1,
+                max_size=5,
+            ),
+            st.sets(st.integers(0, 4)),
+        )
+    )
+)
+def test_kernel_image_matches_kernel_lattice(case):
+    rows, R = case
+    A = ExactMatrix.from_rows(rows)
+    AR = _rows_of(A, R)
+    K = integer_kernel_basis(AR)
+    assert kernel_image(A, R, INTEGERS) == (
+        A.ncols - len(K),
+        smith_normal_form(_image_of(A, K)),
+    )
+    for coeff in (RATIONALS, PrimeField(3)):
+        basis = K if coeff is RATIONALS else kernel_basis(AR, coeff)
+        assert kernel_image(A, R, coeff) == (
+            rank(AR, coeff),
+            rank(_image_of(A, basis), coeff),
+        )

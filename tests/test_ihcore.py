@@ -196,6 +196,89 @@ class TestIntegralTableAgainstLatticeComplex:
         assert t.torsion_at(1) == (3,)
 
 
+def _groups(t):
+    return [(t.rank(i), t.torsion_at(i)) for i in range(t.n + 1)]
+
+
+def _integral_link_groups(L, pb):
+    """Integral IH of L for the restriction of pb to L's codimensions."""
+    sub = Perversity(pb.values[: L.n - 1], L.n)
+    return _groups(ih_homology(L, sub, INTEGERS))
+
+
+def _cone_oracle(link, pb):
+    """IH of the cone on L from IH of L (as _groups), L of dimension
+    n = len(link) - 1: the groups of L below the cutoff n - p(n + 1),
+    zero from there on."""
+    c = len(link) - 1 - pb(len(link))
+    return [g if i < c else (0, ()) for i, g in enumerate(link)] + [(0, ())]
+
+
+def _suspension_oracle(link, pb):
+    """IH of the suspension of L, by Mayer-Vietoris over the two cones:
+    the diagonal into two copies of a group splits, so below the cutoff
+    c the groups of L survive, degree c is zero, and above c the
+    connecting map shifts the groups of L up by one."""
+    c = len(link) - 1 - pb(len(link))
+    return [
+        link[i] if i < c else (0, ()) if i == c else link[i - 1]
+        for i in range(len(link) + 1)
+    ]
+
+
+class TestIntegralConeAndSuspension:
+    """Chain-level integral tables of cones and suspensions against the
+    integral cone and suspension formulas, at every perversity."""
+
+    @pytest.mark.parametrize(
+        "name", ["RP2", "T2", "Klein", "genus2", "L2_1", "L3_1", "L5_1", "S_RP2"]
+    )
+    @pytest.mark.parametrize(
+        "build, oracle",
+        [(cone, _cone_oracle), (suspension, _suspension_oracle)],
+        ids=["cone", "suspension"],
+    )
+    def test_every_perversity(self, name, build, oracle):
+        L = catalog_build(name)
+        X = build(L)
+        for pb in _all_perversities(X.n):
+            want = oracle(_integral_link_groups(L, pb), pb)
+            assert _groups(ih_homology(X, pb, INTEGERS)) == want
+
+
+@pytest.fixture(scope="module")
+def sj_l3():
+    return catalog_build("SJ_L3")
+
+
+class TestSuspendedJ:
+    """SJ_L3, the suspension of L(3,1) x S1, over Z: the largest catalog
+    space, whose integral table needs the elimination of bad rows."""
+
+    J_GROUPS = [(1, ()), (1, (3,)), (0, (3,)), (1, ()), (1, ())]
+
+    def test_ordinary_homology_of_j(self):
+        J = catalog_build("J_L3").complex
+        assert _groups(ordinary_homology(J, INTEGERS)) == self.J_GROUPS
+
+    def test_lower_middle_and_uct_mod_3(self, sj_l3):
+        m = Perversity.lower_middle(5)
+        r = uct_violation_report(sj_l3, m, 3)
+        assert r.integral.free_ranks == (1, 1, 0, 0, 1, 1)
+        assert r.integral.torsion == ((), (3,), (3,), (), (), ())
+        assert _groups(r.integral) == _suspension_oracle(self.J_GROUPS, m)
+        # mod 3 is (1, 2, 2, 0, 2, 1); universal coefficients would give
+        # (1, 2, 2, 1, 1, 1)
+        assert r.violations == [(3, 1, 0), (4, 1, 2)]
+
+    def test_upper_middle(self, sj_l3):
+        n = Perversity.upper_middle(5)
+        t = ih_homology(sj_l3, n, INTEGERS)
+        assert t.free_ranks == (1, 1, 0, 0, 1, 1)
+        assert t.torsion == ((), (3,), (), (3,), (), ())
+        assert _groups(t) == _suspension_oracle(self.J_GROUPS, n)
+
+
 class TestOrdinaryHomology:
     def test_lens_space_integral(self):
         X = catalog_build("L3_1")

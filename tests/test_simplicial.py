@@ -287,6 +287,12 @@ class TestSubdivision:
 
 
 class TestQuotientAndStrata:
+    def test_complex_above_formal_dimension_rejected(self):
+        # a filled triangle given formal dimension 1
+        K = build_complex([[0, 1, 2]])
+        with pytest.raises(SimplicialError, match="dimension above 1"):
+            StratifiedComplex(K, [SimplicialComplex.empty(), K], 1)
+
     def test_quotient_collapse_raises(self):
         K = build_complex([[0, 1, 2]])
         with pytest.raises(SimplicialError):

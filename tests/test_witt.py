@@ -101,6 +101,30 @@ class TestDiagonalize:
         with pytest.raises(WittError):
             witt_invariants(BilinearForm([[0]], Z3))
 
+    @pytest.mark.parametrize("field", [Z5, RATIONALS])
+    def test_diagonalize_rejects_degenerate_forms(self, field):
+        # rank 2: the third row is the sum of the first two
+        rows = [[1, 2, 3], [2, 0, 2], [3, 2, 5]]
+        with pytest.raises(WittError, match="degenerate"):
+            diagonalize(BilinearForm(rows, field))
+
+    def test_diagonalize_verdict_is_nondegeneracy(self):
+        rng = random.Random(1)
+        for field in (Z3, Z5, F9, RATIONALS):
+            for _ in range(150):
+                n = rng.randint(1, 4)
+                rows = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
+                for i in range(n):
+                    for j in range(i):
+                        rows[i][j] = rows[j][i]
+                form = BilinearForm(rows, field)
+                try:
+                    diagonalize(form)
+                    verdict = True
+                except WittError:
+                    verdict = False
+                assert verdict == form.is_nondegenerate()
+
 
 class TestInvariants:
     def test_unit_form_classes(self):
