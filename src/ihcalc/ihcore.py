@@ -10,10 +10,11 @@ Field extension is flat, so the complex over F_{p^m} is the complex over
 Z_p tensored up: F_{p^m} tables are computed in the prime field Z_p and
 keep their own label.
 
-There is one chain-assembly path and one table path.  `_ChainData`
-sorts each degree's faces once; the allowable simplices are a filter of
-that list, D[i] comes from `_boundary_matrix` (which `ordinary_homology`
-uses too), and bad[i] lists its rows on non-allowable faces.
+There is one chain-assembly path and one table path.  `_ranked_faces`
+writes each simplex as the ascending tuple of its vertex ranks in the
+canonical label order, which sort in `simplex_key` order, and `_boundary`
+takes the faces t[:j] + t[j+1:] of each t; `_ChainData` filters out the
+allowable simplices and lists in bad[i] the rows of D[i] on the others.
 `_homology_table` makes one `exactalg.kernel_image` call per degree:
 column operations on D[i] clear its bad rows, and what is left spans
 the boundaries of the allowable chains, ranked over a field or put in
@@ -39,10 +40,11 @@ from .exactalg import (
 from .simplicial import (
     SimplicialComplex,
     StratifiedComplex,
-    simplex_key,
+    ranked_simplices,
     simplicial_link,
     sorted_vertices,
     stratum_components,
+    vertex_ranks,
 )
 
 
@@ -145,7 +147,7 @@ def allowable(s, i, pbar, X: StratifiedComplex):
 
 def _is_allowable(s, i, pbar, bounds):
     for k, verts in bounds:
-        c = sum(1 for v in s if v in verts)
+        c = len(verts.intersection(s))
         if c > 0 and c - 1 > i - k + pbar(k):
             return False
     return True
@@ -168,56 +170,55 @@ def boundary_chain(s):
     return [(s - {v}, (-1) ** j) for j, v in enumerate(vs)]
 
 
-def _boundary_matrix(simplices, faces):
-    """Boundary matrix from the span of `simplices` to the span of
-    `faces`, which holds every face of every simplex."""
-    row = {f: r for r, f in enumerate(faces)}
+def _ranked_faces(K, n):
+    """(rank tuple, simplex) pairs of K, per degree 0..n in `simplex_key` order."""
+    rank = vertex_ranks(K)
+    return [ranked_simplices(K.faces(i), rank) for i in range(n + 1)]
+
+
+def _boundary(simplices, faces):
+    """Boundary matrix from the span of the rank tuples `simplices` to
+    the span of the (rank tuple, simplex) pairs `faces`, which hold every
+    face t[:j] + t[j+1:] of each t; its sign (-1)^j is `boundary_chain`'s."""
+    row = {f: r for r, (f, _) in enumerate(faces)}
     entries = {}
-    for j, s in enumerate(simplices):
-        for f, sign in boundary_chain(s):
-            entries[(row[f], j)] = sign
-    return ExactMatrix(len(faces), len(simplices), entries)
+    for c, t in enumerate(simplices):
+        for j in range(len(t)):
+            entries[row[t[:j] + t[j + 1:]], c] = -1 if j % 2 else 1
+    D = ExactMatrix(len(faces), len(simplices))
+    D.entries = entries
+    return D
+
+
+def _row_block(D, rows):
+    """The rows `rows` of D, as a matrix of their own."""
+    pos = {r: k for k, r in enumerate(rows)}
+    entries = {(pos[r], c): v for (r, c), v in D.entries.items() if r in pos}
+    return ExactMatrix(len(rows), D.ncols, entries)
 
 
 class _ChainData:
     """Boundary matrices of the allowable spans, shared by the engines.
 
-    For each degree i: A[i] is the sorted list of allowable i-simplices,
-    D[i] the boundary matrix from span A[i] to the full chain group one
-    degree down, bad[i] the rows of D[i] on non-allowable faces and B[i]
-    those rows.  The intersection chain group in degree i is the kernel
-    of B[i].
-    allow_rows[i] maps the row of each allowable face of D[i] to its
-    position in A[i - 1].
+    For each degree i: A[i] is the list of allowable i-simplices in
+    `simplex_key` order, D[i] the boundary matrix from span A[i] to the
+    full chain group one degree down, and bad[i] the rows of D[i] on
+    non-allowable faces.  The intersection chain group in degree i is
+    the kernel of those rows.
     """
 
     def __init__(self, X, pbar):
-        n = X.n
-        self.n = n
+        n = self.n = X.n
         bounds = _skeleton_vertex_sets(X)
-        faces = [sorted(X.complex.faces(i), key=simplex_key) for i in range(n + 1)]
-        ok = [
-            [_is_allowable(s, i, pbar, bounds) for s in faces[i]]
-            for i in range(n + 1)
-        ]
-        self.A = [[s for s, a in zip(faces[i], ok[i]) if a] for i in range(n + 1)]
-        self.D = [None] * (n + 1)
-        self.B = [None] * (n + 1)
-        self.bad = [None] * (n + 1)
-        self.allow_rows = [None] * (n + 1)
+        faces = _ranked_faces(X.complex, n)
+        ok = [[_is_allowable(s, i, pbar, bounds) for _, s in faces[i]]
+              for i in range(n + 1)]
+        self.A = [[s for (_, s), a in zip(f, o) if a] for f, o in zip(faces, ok)]
+        self.D, self.bad = [None], [None]
         for i in range(1, n + 1):
-            D = _boundary_matrix(self.A[i], faces[i - 1])
-            good = [r for r, a in enumerate(ok[i - 1]) if a]
-            bad = [r for r, a in enumerate(ok[i - 1]) if not a]
-            bad_pos = {r: k for k, r in enumerate(bad)}
-            self.D[i] = D
-            self.bad[i] = bad
-            self.B[i] = ExactMatrix(
-                len(bad),
-                D.ncols,
-                {(bad_pos[r], j): v for (r, j), v in D.entries.items() if r in bad_pos},
-            )
-            self.allow_rows[i] = {r: t for t, r in enumerate(good)}
+            allowed = [t for (t, _), a in zip(faces[i], ok[i]) if a]
+            self.D.append(_boundary(allowed, faces[i - 1]))
+            self.bad.append([r for r, a in enumerate(ok[i - 1]) if not a])
 
 
 def _combine(cols, coeffs, p):
@@ -371,17 +372,17 @@ def intersection_chain_complex(X, pbar, coeff):
     one, zero = ring.one, ring.zero
     bases = [[[one if j == t else zero for j in range(a0)] for t in range(a0)]]
     for i in range(1, n + 1):
-        if integral:
-            bases.append(integer_kernel_basis(data.B[i]))
-        else:
-            bases.append(kernel_basis(data.B[i], ring))
+        B = _row_block(data.D[i], data.bad[i])
+        bases.append(integer_kernel_basis(B) if integral else kernel_basis(B, ring))
     boundaries = [ExactMatrix(0, a0)]
     for i in range(1, n + 1):
         if not bases[i] or not bases[i - 1]:
             boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i])))
             continue
         # boundaries of the basis vectors, in the coordinates of A[i - 1]
-        Dcols, pos = data.D[i].col_dicts(), data.allow_rows[i]
+        Dcols, bad = data.D[i].col_dicts(), set(data.bad[i])
+        good = (r for r in range(data.D[i].nrows) if r not in bad)
+        pos = {r: t for t, r in enumerate(good)}
         targets = []
         for u in bases[i]:
             col = _combine(Dcols, enumerate(u), p)
@@ -415,8 +416,9 @@ def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
     """Simplicial homology from the full chain complex; the oracle the
     intersection machinery is checked against on manifolds."""
     n = max(C.dimension, 0)
-    faces = [sorted(C.faces(i), key=simplex_key) for i in range(n + 1)]
-    D = [None] + [_boundary_matrix(faces[i], faces[i - 1]) for i in range(1, n + 1)]
+    faces = _ranked_faces(C, n)
+    D = [None] + [_boundary([t for t, _ in faces[i]], faces[i - 1])
+                  for i in range(1, n + 1)]
     return _homology_table(coeff, [len(f) for f in faces], D, [()] * (n + 1))
 
 

@@ -4,7 +4,9 @@ Simplices are frozensets of hashable vertex labels.  Integer labels are
 the common case (and the only case the CLI file format produces), but
 constructions like products and subdivisions temporarily use tuples or
 frozensets as labels; `relabel_canonical` flattens any complex back to
-integer labels deterministically.
+integer labels deterministically.  Hot loops key simplices by rank tuples
+instead (`ranked_simplices`): the ascending vertex ranks in the canonical
+label order, which compare like `simplex_key`.
 """
 
 from dataclasses import dataclass, field
@@ -178,9 +180,21 @@ def canonical_vertex_order(K):
     return sorted(K.vertices, key=_canon_key)
 
 
+def vertex_ranks(K):
+    """{vertex: its position in the canonical label order}."""
+    return {v: k for k, v in enumerate(canonical_vertex_order(K))}
+
+
+def ranked_simplices(simplices, rank):
+    """(rank tuple, simplex) pairs in `simplex_key` order.  A rank tuple
+    lists the simplex's vertex ranks ascending; such tuples compare like
+    `simplex_key`, since ranks follow the canonical label order."""
+    return sorted((tuple(sorted([rank[v] for v in s])), s) for s in simplices)
+
+
 def relabel_canonical(K):
     """Relabel vertices to 0..V-1 in canonical label order."""
-    mapping = {v: i for i, v in enumerate(canonical_vertex_order(K))}
+    mapping = vertex_ranks(K)
     return K.relabel(mapping), mapping
 
 
@@ -304,17 +318,21 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
                 homogeneous = False
                 failures.append(s)
 
-    top = sorted(K.faces(n), key=simplex_key)
+    # simplices as rank tuples; the faces of each top simplex are listed
+    # in its frozenset's order, which the search below depends on
+    rank = vertex_ranks(K)
+    top = ranked_simplices(K.faces(n), rank)
     cofaces = {}
-    for t in top:
-        for v in t:
-            cofaces.setdefault(t - {v}, []).append(t)
+    for t, s in top:
+        for v in s:
+            j = t.index(rank[v])
+            cofaces.setdefault(t[:j] + t[j + 1:], []).append((s, j))
 
-    sigma = X.singular_locus()
-    regular = True
-    for f in sorted(K.faces(n - 1), key=simplex_key) if n >= 1 else []:
-        if len(cofaces.get(f, ())) != 2:
-            regular = False
+    # the keys of `cofaces` are (n-1)-faces: sort all only to list failures
+    regular = n < 1 or (len(cofaces) == len(K.faces(n - 1)) and all(
+        len(ts) == 2 for ts in cofaces.values()))
+    for t, f in [] if regular else ranked_simplices(K.faces(n - 1), rank):
+        if len(cofaces.get(t, ())) != 2:
             failures.append(f)
 
     if n >= 2:
@@ -324,16 +342,13 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
     else:
         no_codim_one = True
 
-    # Orientability and irreducibility are checked on X - Sigma: the dual
-    # graph of n-simplices with edges across (n-1)-faces outside the
-    # singular locus.
-    ordered = {t: tuple(sorted_vertices(t)) for t in top}
-    adj = {t: [] for t in top}
-    for f, ts in cofaces.items():
-        if len(ts) == 2 and f not in sigma:
-            a, b = ts
-            ja = ordered[a].index(next(iter(a - f)))
-            jb = ordered[b].index(next(iter(b - f)))
+    # Orientability and irreducibility are checked on the dual graph of
+    # n-simplices across the (n-1)-faces with two cofaces (none lies in
+    # the singular locus, of dimension <= n-2); vertex j has sign (-1)^j.
+    adj = {s: [] for _, s in top}
+    for ts in cofaces.values():
+        if len(ts) == 2:
+            (a, ja), (b, jb) = ts
             rel = -((-1) ** ja) * ((-1) ** jb)
             adj[a].append((b, rel))
             adj[b].append((a, rel))
@@ -341,7 +356,7 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
     orientable = True
     signs = {}
     components = 0
-    for start in top:
+    for _, start in top:
         if start in signs:
             continue
         components += 1
@@ -458,8 +473,7 @@ def product_complex(K1, K2):
     Vertex orders are the canonical label orders, so products of
     subcomplexes are subcomplexes of the product.
     """
-    pos1 = {v: i for i, v in enumerate(canonical_vertex_order(K1))}
-    pos2 = {v: i for i, v in enumerate(canonical_vertex_order(K2))}
+    pos1, pos2 = vertex_ranks(K1), vertex_ranks(K2)
     facets = []
     for f1 in K1.facets():
         for f2 in K2.facets():

@@ -405,12 +405,14 @@ class WittReport:
 
 def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
     """Middle-perversity vanishing at the middle degree of every link of
-    every odd-codimension stratum component (codimension at least 3)."""
+    every odd-codimension stratum component (codimension at least 3);
+    equal links, such as the two poles of a suspension, share one table."""
     rep = verify_pseudomanifold(X)
     if not rep.is_pseudomanifold:
         raise WittError("input is not a pseudomanifold")
     n = X.n
     checks = []
+    tables = {}
     for d in range(0, n - 2):
         codim = n - d
         if codim % 2 == 0:
@@ -423,9 +425,10 @@ def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
             dims = []
             for s in reps:
                 link = simplicial_link(X, s)
-                mbar = Perversity.lower_middle(link.n)
-                table = ih_homology(link, mbar, coeff)
-                dims.append(table.dim(k))
+                if link not in tables:
+                    mbar = Perversity.lower_middle(link.n)
+                    tables[link] = ih_homology(link, mbar, coeff)
+                dims.append(tables[link].dim(k))
             first = dims[0]
             checks.append(
                 LinkCheck(

@@ -33,7 +33,7 @@ from ihcalc.exactalg import (
     solve_columns,
 )
 from ihcalc.catalog import catalog_build
-from ihcalc.ihcore import Perversity, _ChainData, boundary_chain
+from ihcalc.ihcore import Perversity, _ChainData, _row_block, boundary_chain
 from ihcalc.simplicial import simplex_key
 
 
@@ -569,7 +569,7 @@ def test_extension_field_rank_on_boundary_matrices(p):
     for pb in (Perversity.zero(3), Perversity.top(3)):  # both perversities
         data = _ChainData(X, pb)
         for i in range(1, 4):
-            for A in (data.B[i], data.D[i]):
+            for A in (_row_block(data.D[i], data.bad[i]), data.D[i]):
                 assert rank(A, F) == dense_field_rank(A, F)
 
 

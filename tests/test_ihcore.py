@@ -12,9 +12,11 @@ from ihcalc.exactalg import (
     rank,
     smith_normal_form,
 )
+from ihcalc import ihcore
 from ihcalc.ihcore import (
     Perversity,
     PerversityError,
+    _ChainData,
     allowable,
     boundary_chain,
     ih_homology,
@@ -28,6 +30,7 @@ from ihcalc.simplicial import (
     StratifiedComplex,
     build_complex,
     cone,
+    simplex_key,
     suspension,
 )
 
@@ -162,6 +165,67 @@ def _all_perversities(n):
     for _ in range(n - 2):
         values = [v + (v[-1] + d,) for v in values for d in (0, 1)]
     return [Perversity(v, n) for v in values]
+
+
+def _reference_boundary(simplices, faces):
+    row = {f: r for r, f in enumerate(faces)}
+    entries = {}
+    for j, s in enumerate(simplices):
+        for f, sign in boundary_chain(s):
+            entries[(row[f], j)] = sign
+    return ExactMatrix(len(faces), len(simplices), entries)
+
+
+def _reference_chain_data(X, pb):
+    """A[i], D[i] and bad[i] assembled simplex by simplex: faces sorted by
+    `simplex_key`, boundaries from `boundary_chain`."""
+    faces = [sorted(X.complex.faces(i), key=simplex_key) for i in range(X.n + 1)]
+    ok = [[allowable(s, i, pb, X) for s in faces[i]] for i in range(X.n + 1)]
+    A = [[s for s, a in zip(faces[i], ok[i]) if a] for i in range(X.n + 1)]
+    D = [None] + [_reference_boundary(A[i], faces[i - 1]) for i in range(1, X.n + 1)]
+    bad = [None] + [[r for r, a in enumerate(ok[i - 1]) if not a] for i in range(1, X.n + 1)]
+    return A, D, bad
+
+
+def _relabelled_torus(label):
+    T = catalog_build("T2")
+    return T.relabel({v: label(v) for v in T.complex.vertices})
+
+
+class TestChainAssembly:
+    """Rank-tuple assembly against the simplex-by-simplex reference, on
+    spaces whose labels are strings, tuples and frozensets."""
+
+    SPACES = {
+        "cone_L5_1": lambda: cone(catalog_build("L5_1")),
+        "S_RP2": lambda: catalog_build("S_RP2"),
+        "SS_L5_1": lambda: suspension(suspension(catalog_build("L5_1"))),
+        "T2_tuples": lambda: _relabelled_torus(lambda v: ("v", v)),
+        "T2_frozensets": lambda: _relabelled_torus(lambda v: frozenset([v, -1 - v])),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_matches_reference(self, name):
+        X = self.SPACES[name]()
+        for pb in _all_perversities(X.n) if X.n >= 2 else [Perversity((), X.n)]:
+            data = _ChainData(X, pb)
+            A, D, bad = _reference_chain_data(X, pb)
+            assert data.A == A
+            assert data.D[1:] == D[1:] and data.bad[1:] == bad[1:]
+
+    @pytest.mark.parametrize("name", ["S_RP2", "T2_tuples", "T2_frozensets"])
+    def test_ordinary_homology_matrices(self, name, monkeypatch):
+        K = self.SPACES[name]().complex
+        seen = []
+        real = ihcore._homology_table
+        monkeypatch.setattr(
+            ihcore, "_homology_table",
+            lambda coeff, sizes, D, bad: seen.append(D) or real(coeff, sizes, D, bad),
+        )
+        ordinary_homology(K, PrimeField(3))
+        faces = [sorted(K.faces(i), key=simplex_key) for i in range(K.dimension + 1)]
+        want = [_reference_boundary(faces[i], faces[i - 1]) for i in range(1, len(faces))]
+        assert seen[0][1:] == want
 
 
 def _integral_homology_of(icc):

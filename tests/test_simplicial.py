@@ -19,6 +19,7 @@ from ihcalc.simplicial import (
     product_complex,
     quotient,
     relabel_canonical,
+    simplex_key,
     simplicial_link,
     sorted_vertices,
     stratum_components,
@@ -139,6 +140,26 @@ class TestVerification:
     @pytest.mark.parametrize("name", ["RP2", "Klein"])
     def test_orientation_signs_non_orientable(self, name):
         assert orientation_signs(catalog_build(name).complex) is None
+
+    @pytest.mark.parametrize("name", ["T2", "genus2", "L3_1", "J_L3", "S_T2"])
+    def test_orientation_signs_form_a_cycle(self, name):
+        # sum of signs[t] * boundary(t) over Z, the boundary taken on the
+        # sorted vertex ordering, is the zero chain
+        K = catalog_build(name).complex
+        signs = orientation_signs(K)
+        chain = {}
+        for t, sign in signs.items():
+            for j, v in enumerate(sorted_vertices(t)):
+                f = t - {v}
+                chain[f] = chain.get(f, 0) + sign * (-1) ** j
+        assert set(signs) == K.faces(K.dimension)
+        assert not any(chain.values())
+        # the first top simplex in `simplex_key` order is positive
+        assert signs[min(signs, key=simplex_key)] == 1
+
+    @pytest.mark.parametrize("name", ["RP2", "Klein"])
+    def test_non_orientable_report(self, name):
+        assert verify_pseudomanifold(catalog_build(name)).orientable is False
 
     def test_codim_one_stratum_rejected_flag(self):
         K = sphere2()

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ihcalc import witt
 from ihcalc.catalog import catalog_build
 from ihcalc.exactalg import (
     PrimeField,
@@ -15,9 +16,11 @@ from ihcalc.exactalg import (
     make_field,
     smallest_nonsquare,
 )
+from ihcalc.simplicial import suspension
 from ihcalc.witt import (
     AbelianGroup,
     BilinearForm,
+    LinkCheck,
     WittClass,
     WittError,
     bordism_group,
@@ -368,6 +371,36 @@ class TestConditionCheck:
         X = catalog_build("S_RP2")
         r = witt_condition_check(X, Z2, check_all_links=True)
         assert all(c.all_links_agree for c in r.checks)
+
+    @pytest.mark.parametrize("build, want", [
+        (lambda: catalog_build("SJ_L3"), [(("N",), 2, False), (("S",), 2, False)]),
+        (lambda: suspension(suspension(catalog_build("L5_1"))),
+         [((("N", 0),), 0, True), ((("S", 1),), 0, True)]),
+    ], ids=["SJ_L3", "SS_L5_1"])
+    def test_one_table_per_distinct_link(self, build, want, monkeypatch):
+        # the two poles have equal links, so one table serves both checks
+        X = build()
+        calls = []
+        real = witt.ih_homology
+        monkeypatch.setattr(
+            witt, "ih_homology", lambda *a: calls.append(a) or real(*a)
+        )
+        r = witt_condition_check(X, Z3)
+        assert len(calls) == 1
+        assert (r.coeff_label, r.n, r.oriented, r.irreducible) == ("Z3", 5, True, True)
+        assert r.checks == [
+            LinkCheck(stratum_dim=0, middle_degree=2, representative=rep,
+                      link_dim_checked=dim, passes=ok, all_links_agree=True)
+            for rep, dim, ok in want
+        ]
+
+    @pytest.mark.parametrize("name", ["S_RP2", "SS_RP2"])
+    def test_all_links_give_the_same_verdicts(self, name):
+        X = catalog_build(name)
+        for coeff in (Z2, Z3, RATIONALS):
+            one = witt_condition_check(X, coeff)
+            every = witt_condition_check(X, coeff, check_all_links=True)
+            assert every.checks == one.checks
 
     def test_rejects_non_pseudomanifold(self):
         from ihcalc.simplicial import StratifiedComplex, build_complex
