@@ -178,9 +178,9 @@ def _ranked_faces(K, n):
 
 def _boundary(simplices, faces):
     """Boundary matrix from the span of the rank tuples `simplices` to
-    the span of the (rank tuple, simplex) pairs `faces`, which hold every
-    face t[:j] + t[j+1:] of each t; its sign (-1)^j is `boundary_chain`'s."""
-    row = {f: r for r, (f, _) in enumerate(faces)}
+    the span of the rank tuples `faces`, which hold every face
+    t[:j] + t[j+1:] of each t; its sign (-1)^j is `boundary_chain`'s."""
+    row = {f: r for r, f in enumerate(faces)}
     entries = {}
     for c, t in enumerate(simplices):
         for j in range(len(t)):
@@ -217,7 +217,7 @@ class _ChainData:
         self.D, self.bad = [None], [None]
         for i in range(1, n + 1):
             allowed = [t for (t, _), a in zip(faces[i], ok[i]) if a]
-            self.D.append(_boundary(allowed, faces[i - 1]))
+            self.D.append(_boundary(allowed, [t for t, _ in faces[i - 1]]))
             self.bad.append([r for r, a in enumerate(ok[i - 1]) if not a])
 
 
@@ -416,9 +416,9 @@ def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
     """Simplicial homology from the full chain complex; the oracle the
     intersection machinery is checked against on manifolds."""
     n = max(C.dimension, 0)
-    faces = _ranked_faces(C, n)
-    D = [None] + [_boundary([t for t, _ in faces[i]], faces[i - 1])
-                  for i in range(1, n + 1)]
+    rank = vertex_ranks(C)
+    faces = [[t for t, _ in ranked_simplices(C.faces(i), rank)] for i in range(n + 1)]
+    D = [None] + [_boundary(faces[i], faces[i - 1]) for i in range(1, n + 1)]
     return _homology_table(coeff, [len(f) for f in faces], D, [()] * (n + 1))
 
 

@@ -2,6 +2,7 @@
 metrics."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
@@ -11,17 +12,21 @@ spec.loader.exec_module(ab_bench)
 
 STUB = """import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
+seconds = float(sys.argv[sys.argv.index("--seconds") + 1])
 wall = {wall} + seed / 100
 print("noise line")
-print(json.dumps({{"correct": {failed} == 0, "attempted": 10, "failed": {failed},
+print(json.dumps({{"correct": {correct}, "attempted": 10, "failed": {failed},
                   "metrics": {{"wall_s": {{"value": wall, "unit": "s"}},
-                              "peak_rss_mb": {{"value": 50.0, "unit": "MB"}}}}}}))
+                              "peak_rss_mb": {{"value": 50.0, "unit": "MB"}},
+                              "seconds": {{"value": seconds, "unit": "s"}}}}}}))
 """
 
 
-def stub_checkout(root, wall, failed=0):
+def stub_checkout(root, wall, failed=0, correct=True, run_seconds=40):
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(STUB.format(wall=wall, failed=failed))
+    (root / "perfbench" / "run.py").write_text(
+        STUB.format(wall=wall, failed=failed, correct=correct))
+    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": run_seconds}))
     return str(root)
 
 
@@ -29,9 +34,10 @@ def test_pairs_and_summary(tmp_path, capsys):
     a = stub_checkout(tmp_path / "a", 3.0)
     b = stub_checkout(tmp_path / "b", 2.0)
     assert ab_bench.main([a, b, "--workload", "prebuilt", "--pairs", "3",
-                          "--seconds", "1", "--seed", "5"]) == 0
+                          "--seed", "5"]) == 0
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "pair 1/3 (seed 5): wall_s A 3.050 B 2.050"
+    assert "workload prebuilt, 3 pairs, 40 s per run" in out
     wall = next(line for line in out if line.startswith("wall_s"))
     assert "A       3.06 [3.055, 3.065]" in wall
     assert "B       2.06 [2.055, 2.065]" in wall
@@ -43,9 +49,37 @@ def test_pairs_and_summary(tmp_path, capsys):
 def test_failed_operations_stop_the_script(tmp_path, capsys):
     a = stub_checkout(tmp_path / "a", 3.0)
     b = stub_checkout(tmp_path / "b", 2.0, failed=1)
-    assert ab_bench.main([a, b, "--workload", "cli-cold", "--pairs", "2",
-                          "--seconds", "1"]) == 1
+    assert ab_bench.main([a, b, "--workload", "cli-cold", "--pairs", "2"]) == 1
     assert "1 failed operations" in capsys.readouterr().err
+
+
+def test_wrong_answer_stops_the_script(tmp_path, capsys):
+    a = stub_checkout(tmp_path / "a", 3.0, correct=False)
+    b = stub_checkout(tmp_path / "b", 2.0)
+    assert ab_bench.main([a, b, "--workload", "cli-cold", "--pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "wrong answer" in err and "failed operations" not in err
+
+
+def test_runs_take_the_benchmark_length_of_checkout_a(tmp_path, capsys):
+    a = stub_checkout(tmp_path / "a", 3.0, run_seconds=7)
+    b = stub_checkout(tmp_path / "b", 2.0, run_seconds=40)
+    assert ab_bench.main([a, b, "--workload", "prebuilt", "--pairs", "2"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    seconds = next(line for line in out if line.startswith("seconds"))
+    assert "A          7 [7, 7]  B          7 [7, 7]" in seconds
+
+
+def test_same_checkout_on_both_sides(tmp_path, capsys):
+    a = stub_checkout(tmp_path / "a", 3.0)
+    assert ab_bench.main([a, a, "--workload", "prebuilt", "--pairs", "4",
+                          "--seed", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert len([line for line in out if line.startswith("pair ")]) == 4
+    wall = next(line for line in out if line.startswith("wall_s"))
+    assert "A      3.025 [3.018, 3.032]" in wall
+    assert "B      3.025 [3.018, 3.032]" in wall
+    assert wall.endswith("B lower in 0/4")
 
 
 def test_summary_of_one_pair():

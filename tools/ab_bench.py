@@ -3,13 +3,17 @@
     python3 tools/ab_bench.py PARENT_DIR CHANGE_DIR --workload prebuilt --pairs 10
 
 Each pair runs `<dir>/perfbench/run.py` once on each checkout with the
-same seed (seeds --seed, --seed + 1, ...), one run after the other; the
-side that goes first alternates from pair to pair, so that a drift in
-the machine's speed falls on both sides alike.  For every end-to-end
+same seed (seeds --seed, --seed + 1, ...) and the run length that
+checkout A's BENCHMARK.json sets (`run_seconds`), one run after the
+other; the side that goes first alternates from pair to pair, so that a
+drift in the machine's speed falls on both sides alike.  The two sides
+are kept apart by position, so the same checkout may be given twice to
+measure the noise of the machine.  For every end-to-end
 metric the script prints, per side, the median and the quartiles over
 the pairs, and how many pairs the second checkout wins (lower is
 better for every end-to-end metric of this benchmark).  A run that
-fails, or reports failed operations, stops the script with exit code 1.
+fails, reports failed operations or reports a wrong answer stops the
+script with exit code 1.
 Uses only the standard library.
 """
 
@@ -30,8 +34,10 @@ def run_once(checkout, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
     result = json.loads(lines[-1])
-    if result["failed"] or not result["correct"]:
+    if result["failed"]:
         raise RuntimeError(f"{checkout}: {result['failed']} failed operations")
+    if not result["correct"]:
+        raise RuntimeError(f"{checkout}: the run reports a wrong answer")
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
@@ -65,24 +71,24 @@ def main(argv=None):
     ap.add_argument("b", help="checkout B, the change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, default=10)
-    ap.add_argument("--seconds", type=float, default=40)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
-    runs = {args.a: [], args.b: []}
+    sides = (args.a, args.b)
+    seconds = json.loads((Path(args.a) / "BENCHMARK.json").read_text())["run_seconds"]
+    runs = ([], [])
     try:
         for k in range(args.pairs):
             seed = args.seed + k
-            order = (args.a, args.b) if k % 2 == 0 else (args.b, args.a)
-            for side in order:
-                runs[side].append(run_once(side, args.workload, seed, args.seconds))
+            for side in (0, 1) if k % 2 == 0 else (1, 0):
+                runs[side].append(run_once(sides[side], args.workload, seed, seconds))
             print(f"pair {k + 1}/{args.pairs} (seed {seed}): wall_s "
-                  f"A {runs[args.a][-1].get('wall_s', float('nan')):.3f} "
-                  f"B {runs[args.b][-1].get('wall_s', float('nan')):.3f}", flush=True)
+                  f"A {runs[0][-1].get('wall_s', float('nan')):.3f} "
+                  f"B {runs[1][-1].get('wall_s', float('nan')):.3f}", flush=True)
     except RuntimeError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
-    print(f"workload {args.workload}, {args.pairs} pairs, {args.seconds:g} s per run")
-    for line in summarize(runs[args.a], runs[args.b]):
+    print(f"workload {args.workload}, {args.pairs} pairs, {seconds:g} s per run")
+    for line in summarize(*runs):
         print(line)
     return 0
 
