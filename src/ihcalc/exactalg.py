@@ -10,8 +10,9 @@ unit pivots taken sparsest column first; mod p it is the whole rank,
 and over Q the echelon routine behind kernel and solve finishes the
 small core it leaves.  `kernel_image`, which every homology table uses,
 first runs that pass on a chosen set of rows, then finishes with the
-rank or the Smith normal form on the same index.  Primes must be below
-2^64.
+rank or the Smith normal form on the same index; it can leave columns
+out, and returns the rows it pivoted on, for clearing (see there).
+Primes must be below 2^64.
 """
 
 from __future__ import annotations
@@ -633,15 +634,15 @@ def _drop(rows, cols, pr, pc):
 def _unit_pivots(rows, cols, p, only=None):
     """Eliminate unit pivots in place, sparsest column first (a lazy heap:
     a stale count is pushed again) and the shortest row holding a unit in
-    it; return their number.  Mod a prime p every nonzero entry is a unit
-    and the count is the rank; for p == 0 the units are +-1 and a core is
-    left.  A pivot clears its column by row operations, then its row and
-    column are dropped: clearing the row by column operations would touch
-    no other row, so the pass also serves the Smith normal form.  Given
-    `only`, pivot columns are taken from it alone."""
+    it; return their columns in order.  Mod a prime p every nonzero entry
+    is a unit and they give the rank; for p == 0 the units are +-1 and a
+    core is left.  A pivot clears its column by row operations, then its
+    row and column are dropped: clearing the row by column operations
+    would touch no other row, so the pass also serves the Smith normal
+    form.  Given `only`, pivot columns are taken from it alone."""
     heap = [(len(col), c) for c, col in cols.items() if only is None or c in only]
     heapq.heapify(heap)
-    count = 0
+    pivots = []
     while heap:
         n, pc = heapq.heappop(heap)
         col = cols.get(pc)
@@ -659,8 +660,8 @@ def _unit_pivots(rows, cols, p, only=None):
             if r != pr:
                 _add_row(rows, cols, pr, r, -rows[r][pc] * inv, p)
         _drop(rows, cols, pr, pc)
-        count += 1
-    return count
+        pivots.append(pc)
+    return pivots
 
 
 def rank(A: ExactMatrix, coeff) -> int:
@@ -670,12 +671,14 @@ def rank(A: ExactMatrix, coeff) -> int:
     they are the whole rank, and over Q `_echelon` finishes the small
     core they leave."""
     p = prime_field(coeff).char
-    return _rank(*_index(A.entries, p), p)
+    return _rank(*_index(A.entries, p), p)[0]
 
 
 def _rank(rows, cols, p):
-    count = _unit_pivots(rows, cols, p)
-    return count + len(_echelon([r for r in rows.values() if r], p)[0])
+    """(rank, pivot columns): the unit pivots, then `_echelon`'s."""
+    pivots = _unit_pivots(rows, cols, p)
+    pivots.extend(_echelon([r for r in rows.values() if r], p)[0])
+    return len(pivots), pivots
 
 
 def _euclid(rows, cols, c):
@@ -692,10 +695,12 @@ def _euclid(rows, cols, c):
                 _add_row(rows, cols, pr, r, -(rows[r][c] // rows[pr][c]), 0)
 
 
-def kernel_image(A: ExactMatrix, rows, coeff):
-    """(r, image) for the rows R = `rows` of A and K = ker A_R: r is the
-    rank of A_R (over Q when coeff is Z), image the rank of A(K) over a
-    field, or over Z the SNFResult of the lattice A(K & Z^ncols).
+def kernel_image(A: ExactMatrix, rows, coeff, skip=()):
+    """(r, image, pivots) for the rows R = `rows` of A, the columns of A
+    not in `skip`, and K = ker A_R on them: r is the rank of A_R (over Q
+    when coeff is Z), image the rank of A(K) over a field, or over Z the
+    SNFResult of the lattice A(K & Z^ncols), and pivots the rows of A on
+    which the image phase took a pivot (over Z, only the +-1 pivots).
 
     Column operations on A are row operations on its transpose, which is
     what is indexed.  Unit pivots are taken in the rows R only
@@ -704,18 +709,28 @@ def kernel_image(A: ExactMatrix, rows, coeff):
     column left with an entry in its pivot row, so no element of K uses
     it, and it is dropped.  The operations are unimodular, so the
     columns that remain span A(K) over Z as well, and the rank or the
-    Smith normal form finishes on the same index."""
+    Smith normal form finishes on the same index.
+
+    Clearing: when A is a boundary D_i on the allowable simplices, a
+    pivot row s of D_{i+1} may be left out of D_i by `skip`.  The pivot
+    column b_s of s lies in A(K), so it is an allowable cycle, and the
+    b_s are triangular on the pivot rows with units on the diagonal.
+    So K is the kernel on the other columns plus the span of the b_s,
+    which A kills and R does not see: r and A(K) do not change.  Over a
+    field every pivot counts; over Z only the +-1 pivots of the Smith
+    pre-pass do, so that the b_s span a direct summand."""
     integral = isinstance(coeff, Integers)
     p = 0 if integral else prime_field(coeff).char
     entries = _integer_entries(A) if integral else A.entries
-    idx, cols = _index({(c, r): v for (r, c), v in entries.items()}, p)
+    idx, cols = _index(
+        {(c, r): v for (r, c), v in entries.items() if c not in skip}, p)
     bad = cols.keys() & set(rows)
-    count = _unit_pivots(idx, cols, p, only=bad)
+    count = len(_unit_pivots(idx, cols, p, only=bad))
     for c in sorted(bad):
         if cols.get(c):
             _drop(idx, cols, _euclid(idx, cols, c), c)
             count += 1
-    return count, (_smith(idx, cols) if integral else _rank(idx, cols, p))
+    return (count, *(_smith(idx, cols) if integral else _rank(idx, cols, p)))
 
 
 def kernel_basis(A: ExactMatrix, coeff):
@@ -832,7 +847,7 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
     reduce the rest of its row mod g; a remainder becomes the next
     pivot column.  Invariant factors are unique, so the pre-pass does
     not change the result."""
-    return _smith(*_index(_integer_entries(A), 0))
+    return _smith(*_index(_integer_entries(A), 0))[0]
 
 
 def _integer_entries(A):
@@ -845,7 +860,9 @@ def _integer_entries(A):
 
 
 def _smith(rows, cols):
-    diag = [1] * _unit_pivots(rows, cols, 0)
+    """(SNFResult, the pivot columns of the unit pre-pass)."""
+    units = _unit_pivots(rows, cols, 0)
+    diag = [1] * len(units)
     while True:
         live = [c for c, col in cols.items() if col]
         if not live:
@@ -874,4 +891,4 @@ def _smith(rows, cols):
         for j in range(i + 1, len(tors)):
             g = gcd(tors[i], tors[j])
             tors[i], tors[j] = g, tors[i] * tors[j] // g
-    return SNFResult((1,) * (len(diag) - len(tors)) + tuple(tors), len(diag))
+    return SNFResult((1,) * (len(diag) - len(tors)) + tuple(tors), len(diag)), units

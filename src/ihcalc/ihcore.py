@@ -15,15 +15,17 @@ writes each simplex as the ascending tuple of its vertex ranks in the
 canonical label order, which sort in `simplex_key` order, and `_boundary`
 takes the faces t[:j] + t[j+1:] of each t; `_ChainData` filters out the
 allowable simplices and lists in bad[i] the rows of D[i] on the others.
-`_homology_table` makes one `exactalg.kernel_image` call per degree:
-column operations on D[i] clear its bad rows, and what is left spans
-the boundaries of the allowable chains, ranked over a field or put in
-Smith normal form over Z.  `ordinary_homology` passes no bad rows.
+`_homology_table` makes one `exactalg.kernel_image` call per degree,
+top down: column operations on D[i] clear its bad rows, and what is left
+spans the boundaries of the allowable chains, ranked over a field or
+put in Smith normal form over Z; the faces D[i + 1] pivoted on are left
+out of D[i] (clearing).  `ordinary_homology` passes no bad rows.
 `intersection_chain_complex` builds explicit bases with kernel lattices
 instead, and changes basis with `solve_columns`; it is an independent
 reference for the tables.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .exactalg import (
@@ -310,10 +312,11 @@ class IHTable:
 def _homology_table(coeff, sizes, D, bad):
     """Table of the complex whose degree-i chains are the elements of
     the free module on sizes[i] generators that the rows bad[i] of the
-    boundary D[i] (i = 1..n) send to 0.  One `kernel_image` per degree
-    gives the lost chain rank and the boundaries; the cycles are
-    saturated, so over Z the boundaries' Smith normal form in face
-    coordinates holds the torsion."""
+    boundary D[i] (i = 1..n) send to 0.  One `kernel_image` per degree,
+    top down, gives the lost chain rank and the boundaries; the cycles
+    are saturated, so over Z the boundaries' Smith normal form in face
+    coordinates holds the torsion.  The row of D[i] on face r is column
+    r - #{b in bad[i] : b < r} of D[i - 1]."""
     n = len(sizes) - 1
     integral = isinstance(coeff, Integers)
     if not integral:
@@ -321,13 +324,15 @@ def _homology_table(coeff, sizes, D, bad):
     chains = list(sizes)
     image = [0] * (n + 2)
     tors = [()] * (n + 1)
-    for i in range(1, n + 1):
-        lost, img = kernel_image(D[i], bad[i], coeff)
+    skip = ()
+    for i in range(n, 0, -1):
+        lost, img, pivots = kernel_image(D[i], bad[i], coeff, skip)
         chains[i] -= lost
         if integral:
             image[i], tors[i - 1] = img.rank, img.torsion
         else:
             image[i] = img
+        skip = {r - bisect_left(bad[i], r) for r in pivots}
     ranks = tuple(chains[i] - image[i] - image[i + 1] for i in range(n + 1))
     if integral:
         return IHTable(coeff_label="Z", n=n, free_ranks=ranks,

@@ -311,13 +311,6 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
     n = X.n
     failures = []
 
-    homogeneous = K.dimension == n
-    if homogeneous:
-        for s in K.facets():
-            if len(s) - 1 != n:
-                homogeneous = False
-                failures.append(s)
-
     # simplices as rank tuples; the faces of each top simplex are listed
     # in its frozenset's order, which the search below depends on
     rank = vertex_ranks(K)
@@ -327,6 +320,15 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
         for v in s:
             j = t.index(rank[v])
             cofaces.setdefault(t[:j] + t[j + 1:], []).append((s, j))
+
+    # the closure of the top simplices lies in K, so K is pure iff the
+    # two have as many faces in each degree; only failures need facets()
+    homogeneous, level = K.dimension == n, cofaces.keys()
+    for d in range(n - 1, -1, -1):
+        if homogeneous and len(level) != len(K.faces(d)):
+            homogeneous = False
+            failures.extend(s for s in K.facets() if len(s) - 1 != n)
+        level = {t[:j] + t[j + 1:] for t in level for j in range(d + 1)}
 
     # the keys of `cofaces` are (n-1)-faces: sort all only to list failures
     regular = n < 1 or (len(cofaces) == len(K.faces(n - 1)) and all(

@@ -5,6 +5,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 SCRIPT = Path(__file__).resolve().parent.parent / "tools" / "ab_bench.py"
 spec = importlib.util.spec_from_file_location("ab_bench", SCRIPT)
 ab_bench = importlib.util.module_from_spec(spec)
@@ -87,3 +89,14 @@ def test_summary_of_one_pair():
     assert lines == [
         "wall_s           A          2 [2, 2]  B        1.5 [1.5, 1.5]  B lower in 1/1"
     ]
+
+
+@pytest.mark.parametrize("pairs", ["0", "-2"])
+def test_pairs_below_one_is_a_usage_error(tmp_path, capsys, pairs):
+    a = stub_checkout(tmp_path / "a", 3.0)
+    with pytest.raises(SystemExit) as exit_info:
+        ab_bench.main([a, a, "--workload", "prebuilt", "--pairs", pairs])
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert "--pairs must be at least 1" in captured.err
+    assert "Traceback" not in captured.err and not captured.out

@@ -611,16 +611,35 @@ class TestKernelImage:
         # no unit in the bad row [2, 4]: its integer kernel is (2, -1),
         # which the second row sends to 2
         A = ExactMatrix.from_rows([[2, 4], [1, 0]])
-        assert kernel_image(A, [0], INTEGERS) == (1, SNFResult((2,), 1))
-        assert kernel_image(A, [0], RATIONALS) == (1, 1)
-        assert kernel_image(A, [0], PrimeField(3)) == (1, 1)
+        assert kernel_image(A, [0], INTEGERS) == (1, SNFResult((2,), 1), [])
+        assert kernel_image(A, [0], RATIONALS) == (1, 1, [1])
+        assert kernel_image(A, [0], PrimeField(3)) == (1, 1, [1])
         # mod 2 the bad row vanishes
-        assert kernel_image(A, [0], PrimeField(2)) == (0, 1)
+        assert kernel_image(A, [0], PrimeField(2)) == (0, 1, [1])
 
     def test_no_rows_is_rank_and_smith_normal_form(self):
         A = ExactMatrix.from_rows([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
-        assert kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A))
-        assert kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)))
+        assert kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A), [0])
+        assert kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)), [0])
+
+    def test_pivot_of_two(self):
+        # 2 is a unit over Q, so its row is a pivot; over Z it is not
+        A = ExactMatrix.from_rows([[2]])
+        assert kernel_image(A, (), RATIONALS) == (0, 1, [0])
+        assert kernel_image(A, (), INTEGERS) == (0, SNFResult((2,), 1), [])
+
+    def test_clearing_a_triangle(self):
+        # edges 01, 02, 12 of the triangle 012, and its vertices 0, 1, 2
+        d2 = ExactMatrix.from_rows([[1], [-1], [1]])
+        d1 = ExactMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
+        for coeff in (RATIONALS, PrimeField(2), PrimeField(3)):
+            _, img, pivots = kernel_image(d2, (), coeff)
+            assert img == 1 and len(pivots) == 1
+            assert kernel_image(d1, (), coeff, set(pivots))[:2] == (0, 2)
+        _, img, pivots = kernel_image(d2, (), INTEGERS)
+        assert img == SNFResult((1,), 1) and len(pivots) == 1
+        assert kernel_image(d1, (), INTEGERS, set(pivots))[:2] == (
+            0, SNFResult((1, 1), 2))
 
 
 @settings(max_examples=80, deadline=None)
@@ -641,13 +660,15 @@ def test_kernel_image_matches_kernel_lattice(case):
     A = ExactMatrix.from_rows(rows)
     AR = _rows_of(A, R)
     K = integer_kernel_basis(AR)
-    assert kernel_image(A, R, INTEGERS) == (
-        A.ncols - len(K),
-        smith_normal_form(_image_of(A, K)),
-    )
+    r, snf, pivots = kernel_image(A, R, INTEGERS)
+    assert (r, snf) == (A.ncols - len(K), smith_normal_form(_image_of(A, K)))
+    # the pivot rows are distinct rows outside R, over Z at most the rank
+    assert len(set(pivots)) == len(pivots) <= snf.rank
+    assert not set(pivots) & R
     for coeff in (RATIONALS, PrimeField(3)):
         basis = K if coeff is RATIONALS else kernel_basis(AR, coeff)
-        assert kernel_image(A, R, coeff) == (
-            rank(AR, coeff),
-            rank(_image_of(A, basis), coeff),
-        )
+        r, img, pivots = kernel_image(A, R, coeff)
+        assert (r, img) == (rank(AR, coeff), rank(_image_of(A, basis), coeff))
+        # over a field every pivot is reported
+        assert len(set(pivots)) == len(pivots) == img
+        assert not set(pivots) & R

@@ -1,6 +1,7 @@
 """Perversities, allowability, and intersection homology tables."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ihcalc.catalog import catalog_build
 from ihcalc.exactalg import (
@@ -8,12 +9,14 @@ from ihcalc.exactalg import (
     INTEGERS,
     PrimeField,
     RATIONALS,
+    kernel_image,
     make_field,
     rank,
     smith_normal_form,
 )
 from ihcalc import ihcore
 from ihcalc.ihcore import (
+    IHTable,
     Perversity,
     PerversityError,
     _ChainData,
@@ -27,6 +30,7 @@ from ihcalc.ihcore import (
     uct_violation_report,
 )
 from ihcalc.simplicial import (
+    SimplicialComplex,
     StratifiedComplex,
     build_complex,
     cone,
@@ -341,6 +345,101 @@ class TestSuspendedJ:
         assert t.free_ranks == (1, 1, 0, 0, 1, 1)
         assert t.torsion == ((), (3,), (), (3,), (), ())
         assert _groups(t) == _suspension_oracle(self.J_GROUPS, n)
+
+
+def _bottom_up_table(coeff, sizes, D, bad):
+    """`_homology_table` without clearing: one `kernel_image` per degree
+    from degree 1 up, with every column of D[i] kept."""
+    n = len(sizes) - 1
+    integral = coeff is INTEGERS
+    chains, image, tors = list(sizes), [0] * (n + 2), [()] * (n + 1)
+    for i in range(1, n + 1):
+        lost, img, _ = kernel_image(D[i], bad[i], coeff)
+        chains[i] -= lost
+        image[i] = img.rank if integral else img
+        tors[i - 1] = img.torsion if integral else ()
+    ranks = tuple(chains[i] - image[i] - image[i + 1] for i in range(n + 1))
+    if integral:
+        return IHTable("Z", n, free_ranks=ranks, torsion=tuple(tors),
+                       chain_dims=tuple(chains))
+    return IHTable(coeff.label, n, dims=ranks, chain_dims=tuple(chains))
+
+
+CLEARING_RINGS = (RATIONALS, PrimeField(2), PrimeField(3), INTEGERS)
+
+
+class TestClearing:
+    """Top-down tables that leave out the faces the boundary one degree
+    up pivoted on, against the bottom-up tables that keep every face."""
+
+    SPACES = {
+        "cone_RP2": lambda: catalog_build("cone_RP2"),
+        "S_RP2": lambda: catalog_build("S_RP2"),
+        "SS_RP2": lambda: catalog_build("SS_RP2"),
+        "S_T2": lambda: catalog_build("S_T2"),
+        "cone_L5_1": lambda: cone(catalog_build("L5_1")),
+        "S_L3_1": lambda: suspension(catalog_build("L3_1")),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_tables_match_bottom_up(self, name):
+        X = self.SPACES[name]()
+        for pb in _all_perversities(X.n):
+            data = _ChainData(X, pb)
+            sizes = [len(a) for a in data.A]
+            for coeff in CLEARING_RINGS:
+                want = _bottom_up_table(coeff, sizes, data.D, data.bad)
+                assert ih_homology(X, pb, coeff) == want
+
+    @staticmethod
+    def _left_out(monkeypatch, X, pb, coeff):
+        """(columns left out, image) of each `kernel_image` call, top down."""
+        calls = []
+        real = ihcore.kernel_image
+
+        def spy(A, rows, coeff, skip=()):
+            out = real(A, rows, coeff, skip)
+            calls.append((len(skip), out[1]))
+            return out
+
+        monkeypatch.setattr(ihcore, "kernel_image", spy)
+        ih_homology(X, pb, coeff)
+        return calls
+
+    def test_field_leaves_out_the_image_rank(self, monkeypatch):
+        X, pb = catalog_build("J_L3"), Perversity.lower_middle(4)
+        calls = self._left_out(monkeypatch, X, pb, PrimeField(3))
+        assert [left for left, _ in calls] == [0, 1247, 1871, 737]
+        for (_, image), (left, _) in zip(calls, calls[1:]):
+            assert left == image
+
+    def test_integral_counts(self, monkeypatch):
+        # over Z only +-1 pivots are left out: D_3 has rank 1872 with
+        # invariant factor 3, and 1871 of its pivots are units
+        X, pb = catalog_build("J_L3"), Perversity.lower_middle(4)
+        calls = self._left_out(monkeypatch, X, pb, INTEGERS)
+        assert [left for left, _ in calls] == [0, 1247, 1871, 737]
+        assert [snf.rank for _, snf in calls] == [1247, 1872, 738, 56]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 6), min_size=1, max_size=5),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_ordinary_homology_clearing_matches_bottom_up(generators):
+    K = SimplicialComplex.from_maximal(generators)
+    seen = []
+    real = ihcore._homology_table
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ihcore, "_homology_table",
+                   lambda *args: seen.append(args) or real(*args))
+        for coeff in CLEARING_RINGS:
+            table = ordinary_homology(K, coeff)
+            assert table == _bottom_up_table(*seen[-1])
 
 
 class TestOrdinaryHomology:

@@ -94,6 +94,24 @@ def test_facets_match_definition(generators):
     assert K.facets() == brute_force_facets(K)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(
+        st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
+        min_size=1,
+        max_size=12,
+    )
+)
+def test_homogeneity_matches_facets(generators):
+    # the degree-by-degree face count agrees with the facet definition,
+    # and the facets of lower dimension still head the failures
+    K = SimplicialComplex.from_maximal(generators)
+    impure = [f for f in K.facets() if len(f) - 1 != K.dimension]
+    rep = verify_pseudomanifold(StratifiedComplex.trivial(K))
+    assert rep.dimensional_homogeneity == (not impure)
+    assert rep.failures[: len(impure)] == impure
+
+
 class TestVerification:
     def test_sphere_all_flags(self):
         rep = verify_pseudomanifold(StratifiedComplex.trivial(sphere2()))

@@ -73,6 +73,8 @@ def main(argv=None):
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be at least 1")
     sides = (args.a, args.b)
     seconds = json.loads((Path(args.a) / "BENCHMARK.json").read_text())["run_seconds"]
     runs = ([], [])
