@@ -1,13 +1,23 @@
 """Built-in spaces: triangulated catalog entries plus formula-level
 entries for spaces too large to triangulate.
 
+Each space is one `CatalogEntry` in the `_ENTRIES` registry, which holds
+its name, dimension, kind, cost class, description and build.  A
+triangulated entry's build returns a stratified complex, or a plain
+complex for a manifold, which `catalog_build` stratifies trivially.  A
+derived space (cone, suspension, connected sum, product) builds from
+`catalog_build` of its base, so each base is constructed once per
+process: `catalog_build` is the package's only cache.  A formula
+entry's build is its table function, which `catalog_table` calls.
+
 Every triangulated entry validates itself at build time (homology,
 pseudomanifold flags, and quotient certificates for the glued spaces),
 so downstream computations never run on a miscooked triangulation.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Callable
 
 from .exactalg import INTEGERS, coeff_from_label
 from .formulas import (
@@ -15,7 +25,7 @@ from .formulas import (
     kunneth,
     suspension_formula,
 )
-from .ihcore import IHTable, Perversity, ordinary_homology
+from .ihcore import IHTable, Perversity, ih_homology, ordinary_homology
 from .simplicial import (
     SimplicialComplex,
     StratifiedComplex,
@@ -60,19 +70,25 @@ def _check_manifold(K, name, orientable):
     _require(rep.orientable == orientable, name, "orientability mismatch")
 
 
+def _certify(K, name, ranks, torsion, orientable=True):
+    """K, once its integral homology and its manifold flags are as given."""
+    _check_homology(K, name, ranks, torsion)
+    _check_manifold(K, name, orientable)
+    return K
+
+
+def _simplify(Q):
+    """A glued complex relabelled, edge-contracted, and relabelled again."""
+    QK, _ = relabel_canonical(Q)
+    C, _ = relabel_canonical(contract_edges(QK))
+    return C
+
+
 # --- base triangulations -----------------------------------------------------
-
-
-def _build_S0():
-    return build_complex([{0}, {1}])
 
 
 def _build_S1():
     return build_complex([{0, 1}, {1, 2}, {0, 2}])
-
-
-def _build_S2():
-    return build_complex([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])
 
 
 RP2_FACETS = [
@@ -82,18 +98,13 @@ RP2_FACETS = [
 
 
 def _build_RP2():
-    K = build_complex(RP2_FACETS)
-    _check_homology(K, "RP2", (1, 0, 0), ((), (2,), ()))
-    _check_manifold(K, "RP2", orientable=False)
-    return K
+    return _certify(build_complex(RP2_FACETS), "RP2", (1, 0, 0), ((), (2,), ()), orientable=False)
 
 
 def _build_T2():
     S1 = _build_S1()
     K, _ = relabel_canonical(product_complex(S1, S1))
-    _check_homology(K, "T2", (1, 2, 1), ((), (), ()))
-    _check_manifold(K, "T2", orientable=True)
-    return K
+    return _certify(K, "T2", (1, 2, 1), ((), (), ()))
 
 
 def _build_Klein():
@@ -109,17 +120,12 @@ def _build_Klein():
             tris.append(frozenset([a, b, c]))
             tris.append(frozenset([b, c, d]))
     K, _ = relabel_canonical(build_complex(tris))
-    _check_homology(K, "Klein", (1, 1, 0), ((), (2,), ()))
-    _check_manifold(K, "Klein", orientable=False)
-    return K
+    return _certify(K, "Klein", (1, 1, 0), ((), (2,), ()), orientable=False)
 
 
 def _build_genus2():
-    T2 = _build_T2()
-    K = connected_sum(T2, T2)
-    _check_homology(K, "genus2", (1, 4, 1), ((), (), ()))
-    _check_manifold(K, "genus2", orientable=True)
-    return K
+    T2 = catalog_build("T2").complex
+    return _certify(connected_sum(T2, T2), "genus2", (1, 4, 1), ((), (), ()))
 
 
 # --- quotient constructions ---------------------------------------------------
@@ -181,11 +187,7 @@ def _lens_space(p):
         _require(eq % p == 0, name, "equator orbit count")
         _require(len(Q.faces(d)) == expected, name,
                  f"quotient face count in dimension {d}")
-    QK, _ = relabel_canonical(Q)
-    C, _ = relabel_canonical(contract_edges(QK))
-    _check_manifold(C, name, orientable=True)
-    _check_homology(C, name, (1, 0, 0, 1), ((), (p,), (), ()))
-    return C
+    return _certify(_simplify(Q), name, (1, 0, 0, 1), ((), (p,), (), ()))
 
 
 def _build_L2():
@@ -214,11 +216,7 @@ def _build_L2():
     for d in range(4):
         _require(len(K.faces(d)) == 2 * len(Q.faces(d)), "L2_1",
                  f"face count does not halve in dimension {d}")
-    QK, _ = relabel_canonical(Q)
-    C, _ = relabel_canonical(contract_edges(QK))
-    _check_manifold(C, "L2_1", orientable=True)
-    _check_homology(C, "L2_1", (1, 0, 0, 1), ((), (2,), (), ()))
-    return C
+    return _certify(_simplify(Q), "L2_1", (1, 0, 0, 1), ((), (2,), (), ()))
 
 
 def _build_CP2():
@@ -254,86 +252,18 @@ def _build_CP2():
         _require((total + fix) % 2 == 0, "CP2", "orbit parity")
         _require(len(Q.faces(d)) == (total + fix) // 2, "CP2",
                  f"orbit count in dimension {d}")
-    QK, _ = relabel_canonical(Q)
-    C, _ = relabel_canonical(contract_edges(QK))
-    _check_manifold(C, "CP2", orientable=True)
-    _check_homology(C, "CP2", (1, 0, 1, 0, 1), ((), (), (), (), ()))
-    return C
+    return _certify(_simplify(Q), "CP2", (1, 0, 1, 0, 1), ((), (), (), (), ()))
 
 
 def _build_CP2_sum():
-    C = _build_cached("CP2")
-    K = connected_sum(C, C)
-    _check_homology(K, "CP2#CP2", (1, 0, 2, 0, 1), ((), (), (), (), ()))
-    _check_manifold(K, "CP2#CP2", orientable=True)
-    return K
+    C = catalog_build("CP2").complex
+    return _certify(connected_sum(C, C), "CP2#CP2", (1, 0, 2, 0, 1), ((), (), (), (), ()))
 
 
 def _build_J():
-    L = _build_cached("L3_1")
-    S1 = _build_S1()
-    K, _ = relabel_canonical(contract_edges(product_complex(L, S1)))
-    _check_homology(K, "J_L3", (1, 1, 0, 1, 1), ((), (3,), (3,), (), ()))
-    _check_manifold(K, "J_L3", orientable=True)
-    return K
-
-
-# --- stratified entries -------------------------------------------------------
-
-
-def _trivial(K, n=None):
-    return StratifiedComplex.trivial(K, n)
-
-
-_BUILDERS = {
-    "S0": lambda: _trivial(_build_S0(), 0),
-    "S1": lambda: _trivial(_build_S1()),
-    "S2": lambda: _trivial(_build_S2()),
-    "T2": lambda: _trivial(_build_cached("T2_plain")),
-    "RP2": lambda: _trivial(_build_cached("RP2_plain")),
-    "Klein": lambda: _trivial(_build_Klein()),
-    "genus2": lambda: _trivial(_build_genus2()),
-    "CP2": lambda: _trivial(_build_cached("CP2")),
-    "CP2#CP2": lambda: _trivial(_build_CP2_sum()),
-    "L2_1": lambda: _trivial(_build_cached("L2_1")),
-    "L3_1": lambda: _trivial(_build_cached("L3_1")),
-    "L5_1": lambda: _trivial(_build_cached("L5_1")),
-    "cone_RP2": lambda: cone(_trivial(_build_cached("RP2_plain"))),
-    "S_RP2": lambda: suspension(_trivial(_build_cached("RP2_plain"))),
-    "SS_RP2": lambda: suspension(
-        suspension(_trivial(_build_cached("RP2_plain")))
-    ),
-    "J_L3": lambda: _trivial(_build_cached("J_L3")),
-    "SJ_L3": lambda: suspension(_trivial(_build_cached("J_L3"))),
-    "S_T2": lambda: suspension(_trivial(_build_cached("T2_plain"))),
-}
-
-_PLAIN_BUILDERS = {
-    "T2_plain": _build_T2,
-    "RP2_plain": _build_RP2,
-    "CP2": _build_CP2,
-    "L2_1": _build_L2,
-    "L3_1": lambda: _lens_space(3),
-    "L5_1": lambda: _lens_space(5),
-    "J_L3": _build_J,
-}
-
-
-@lru_cache(maxsize=None)
-def _build_cached(name):
-    return _PLAIN_BUILDERS[name]()
-
-
-@lru_cache(maxsize=None)
-def catalog_build(name) -> StratifiedComplex:
-    """Deterministic construction of a named catalog space."""
-    if name in _BUILDERS:
-        return _BUILDERS[name]()
-    if name in _FORMULA_BUILDERS:
-        raise CatalogError(
-            f"{name!r} is a formula-level entry; use catalog_table"
-        )
-    raise CatalogError(f"unknown catalog space {name!r}")
+    L = catalog_build("L3_1").complex
+    K, _ = relabel_canonical(contract_edges(product_complex(L, _build_S1())))
+    return _certify(K, "J_L3", (1, 1, 0, 1, 1), ((), (3,), (3,), (), ()))
 
 
 # --- formula-level entries ----------------------------------------------------
@@ -356,8 +286,6 @@ def _table_Y(pbar, coeff_label, e=3):
 def _table_X8_SJ(pbar, coeff_label):
     """SJ x S1 x S2, evaluated from the chain-level SJ table and the
     product-manifold homology by the Kunneth engine."""
-    from .ihcore import ih_homology
-
     sj = catalog_build("SJ_L3")
     sub = Perversity(pbar.values[:4], 5)
     sj_table = ih_homology(sj, sub, coeff_from_label(coeff_label))
@@ -372,22 +300,7 @@ def _table_X8_SY(pbar, coeff_label, e=3):
     return kunneth(sy, man)
 
 
-_FORMULA_BUILDERS = {
-    "Uhat_S2": _table_Uhat,
-    "Y_T2": _table_Y,
-    "X8_SJ": _table_X8_SJ,
-    "X8_SY": _table_X8_SY,
-}
-
-
-def catalog_table(name, pbar, coeff_label, **kw) -> IHTable:
-    """Homology table of a formula-level catalog entry."""
-    if name not in _FORMULA_BUILDERS:
-        raise CatalogError(f"unknown formula entry {name!r}")
-    return _FORMULA_BUILDERS[name](pbar, coeff_label, **kw)
-
-
-# --- manifest ------------------------------------------------------------------
+# --- registry ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -397,40 +310,67 @@ class CatalogEntry:
     kind: str  # triangulated | formula
     cost_class: str  # instant | seconds | stretch
     description: str
+    # triangulated: () -> complex; formula: (pbar, coeff_label, **kw) -> IHTable
+    build: Callable = field(repr=False, compare=False)
 
 
-_ENTRIES = [
-    CatalogEntry("S0", 0, "triangulated", "instant", "two points"),
-    CatalogEntry("S1", 1, "triangulated", "instant", "3-vertex circle"),
-    CatalogEntry("S2", 2, "triangulated", "instant", "boundary of a tetrahedron"),
-    CatalogEntry("T2", 2, "triangulated", "instant", "9-vertex torus (product of circles)"),
-    CatalogEntry("RP2", 2, "triangulated", "instant", "6-vertex projective plane"),
-    CatalogEntry("Klein", 2, "triangulated", "instant", "9-vertex Klein bottle"),
-    CatalogEntry("genus2", 2, "triangulated", "instant", "connected sum of two tori"),
-    CatalogEntry("CP2", 4, "triangulated", "seconds", "complex projective plane (symmetric square of the sphere)"),
-    CatalogEntry("CP2#CP2", 4, "triangulated", "seconds", "connected sum of two copies of CP2"),
-    CatalogEntry("L2_1", 3, "triangulated", "instant", "real projective 3-space"),
-    CatalogEntry("L3_1", 3, "triangulated", "instant", "lens space L(3,1)"),
-    CatalogEntry("L5_1", 3, "triangulated", "seconds", "lens space L(5,1)"),
-    CatalogEntry("cone_RP2", 3, "triangulated", "instant", "cone on the projective plane"),
-    CatalogEntry("S_RP2", 3, "triangulated", "instant", "suspension of the projective plane"),
-    CatalogEntry("SS_RP2", 4, "triangulated", "instant", "double suspension of the projective plane"),
-    CatalogEntry("S_T2", 3, "triangulated", "instant", "suspension of the torus"),
-    CatalogEntry("J_L3", 4, "triangulated", "seconds", "L(3,1) x S1"),
-    CatalogEntry("SJ_L3", 5, "triangulated", "seconds", "suspension of L(3,1) x S1"),
-    CatalogEntry("Uhat_S2", 4, "formula", "instant", "compactified disk bundle over S2 with euler number e"),
-    CatalogEntry("Y_T2", 4, "formula", "instant", "compactified disk bundle over T2 with euler number e"),
-    CatalogEntry("X8_SJ", 8, "formula", "instant", "SJ x S1 x S2 via the Kunneth engine"),
-    CatalogEntry("X8_SY", 8, "formula", "instant", "S1 x S2 x SY via the Kunneth engine"),
-]
+_ENTRIES = {e.name: e for e in [
+    CatalogEntry("S0", 0, "triangulated", "instant", "two points", lambda: build_complex([{0}, {1}])),
+    CatalogEntry("S1", 1, "triangulated", "instant", "3-vertex circle", _build_S1),
+    CatalogEntry("S2", 2, "triangulated", "instant", "boundary of a tetrahedron",
+                 lambda: build_complex([{0, 1, 2}, {0, 1, 3}, {0, 2, 3}, {1, 2, 3}])),
+    CatalogEntry("T2", 2, "triangulated", "instant", "9-vertex torus (product of circles)", _build_T2),
+    CatalogEntry("RP2", 2, "triangulated", "instant", "6-vertex projective plane", _build_RP2),
+    CatalogEntry("Klein", 2, "triangulated", "instant", "9-vertex Klein bottle", _build_Klein),
+    CatalogEntry("genus2", 2, "triangulated", "instant", "connected sum of two tori", _build_genus2),
+    CatalogEntry("CP2", 4, "triangulated", "seconds",
+                 "complex projective plane (symmetric square of the sphere)", _build_CP2),
+    CatalogEntry("CP2#CP2", 4, "triangulated", "seconds", "connected sum of two copies of CP2", _build_CP2_sum),
+    CatalogEntry("L2_1", 3, "triangulated", "instant", "real projective 3-space", _build_L2),
+    CatalogEntry("L3_1", 3, "triangulated", "instant", "lens space L(3,1)", lambda: _lens_space(3)),
+    CatalogEntry("L5_1", 3, "triangulated", "seconds", "lens space L(5,1)", lambda: _lens_space(5)),
+    CatalogEntry("cone_RP2", 3, "triangulated", "instant", "cone on the projective plane",
+                 lambda: cone(catalog_build("RP2"))),
+    CatalogEntry("S_RP2", 3, "triangulated", "instant", "suspension of the projective plane",
+                 lambda: suspension(catalog_build("RP2"))),
+    CatalogEntry("SS_RP2", 4, "triangulated", "instant", "double suspension of the projective plane",
+                 lambda: suspension(catalog_build("S_RP2"))),
+    CatalogEntry("S_T2", 3, "triangulated", "instant", "suspension of the torus",
+                 lambda: suspension(catalog_build("T2"))),
+    CatalogEntry("J_L3", 4, "triangulated", "seconds", "L(3,1) x S1", _build_J),
+    CatalogEntry("SJ_L3", 5, "triangulated", "seconds", "suspension of L(3,1) x S1",
+                 lambda: suspension(catalog_build("J_L3"))),
+    CatalogEntry("Uhat_S2", 4, "formula", "instant",
+                 "compactified disk bundle over S2 with euler number e", _table_Uhat),
+    CatalogEntry("Y_T2", 4, "formula", "instant",
+                 "compactified disk bundle over T2 with euler number e", _table_Y),
+    CatalogEntry("X8_SJ", 8, "formula", "instant", "SJ x S1 x S2 via the Kunneth engine", _table_X8_SJ),
+    CatalogEntry("X8_SY", 8, "formula", "instant", "S1 x S2 x SY via the Kunneth engine", _table_X8_SY),
+]}
 
 
 def catalog_entries():
-    return list(_ENTRIES)
+    return list(_ENTRIES.values())
 
 
 def catalog_entry(name) -> CatalogEntry:
-    for e in _ENTRIES:
-        if e.name == name:
-            return e
-    raise CatalogError(f"unknown catalog space {name!r}")
+    if name not in _ENTRIES:
+        raise CatalogError(f"unknown catalog space {name!r}")
+    return _ENTRIES[name]
+
+
+@lru_cache(maxsize=None)
+def catalog_build(name) -> StratifiedComplex:
+    """Deterministic construction of a named catalog space."""
+    entry = catalog_entry(name)
+    if entry.kind == "formula":
+        raise CatalogError(f"{name!r} is a formula-level entry; use catalog_table")
+    X = entry.build()
+    return StratifiedComplex.trivial(X) if isinstance(X, SimplicialComplex) else X
+
+
+def catalog_table(name, pbar, coeff_label, **kw) -> IHTable:
+    """Homology table of a formula-level catalog entry."""
+    if name not in _ENTRIES or _ENTRIES[name].kind != "formula":
+        raise CatalogError(f"unknown formula entry {name!r}")
+    return _ENTRIES[name].build(pbar, coeff_label, **kw)

@@ -20,11 +20,9 @@ from .catalog import (
 from .exactalg import (
     CoefficientError,
     INTEGERS,
-    PrimeField,
-    RATIONALS,
     Rationals,
+    coeff_from_label,
     is_prime,
-    make_field,
 )
 from .formulas import omega_splitting
 from .ihcore import (
@@ -61,6 +59,9 @@ _MAX_SUBDIVISION_SIMPLICES = 200_000
 # A space file declares at most this dimension; a simplex of it has
 # 2^13 faces.
 _MAX_DIMENSION = 12
+# The largest identity form that `witt-class --matrix I<n>` builds: the
+# Gram matrix is a dense n by n list.
+_MAX_IDENTITY = 1000
 
 
 class CliError(Exception):
@@ -69,29 +70,24 @@ class CliError(Exception):
         self.code = code
 
 
+# The coefficient label that each spec shape names, keyed by the spec's
+# prefix and its number of integer arguments.
+_COEFF_LABELS = {("Q", 0): "Q", ("Z", 0): "Z", ("Zp", 1): "Z{}", ("Fq", 2): "F{}^{}"}
+
+
 def parse_coefficients(spec):
-    """Q | Z | Zp:<p> | Fq:<p>:<m>"""
+    """Q | Z | Zp:<p> | Fq:<p>:<m>, read by `coeff_from_label` as the
+    label Q, Z, Z<p> or F<p>^<m>."""
     spec = spec.strip()
-    if spec == "Q":
-        return RATIONALS
-    if spec == "Z":
-        return INTEGERS
-    if spec.startswith("Zp:"):
-        try:
-            p = int(spec[3:])
-        except ValueError:
-            raise CliError(f"bad coefficient spec {spec!r}", EXIT_PARSE)
-        return PrimeField(p)
-    if spec.startswith("Fq:"):
-        parts = spec[3:].split(":")
-        if len(parts) != 2:
-            raise CliError(f"bad coefficient spec {spec!r}", EXIT_PARSE)
-        try:
-            p, m = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise CliError(f"bad coefficient spec {spec!r}", EXIT_PARSE)
-        return make_field(p, m)
-    raise CliError(f"bad coefficient spec {spec!r}", EXIT_PARSE)
+    kind, *args = spec.split(":")
+    label = _COEFF_LABELS.get((kind, len(args)))
+    try:
+        numbers = [int(a) for a in args]
+    except ValueError:
+        label = None
+    if label is None:
+        raise CliError(f"bad coefficient spec {spec!r}", EXIT_PARSE)
+    return coeff_from_label(label.format(*numbers))
 
 
 def parse_perversity(spec, n):
@@ -191,11 +187,11 @@ def _table_lines(table: IHTable):
 
 def cmd_compute(args):
     coeff = parse_coefficients(args.coeff)
-    if args.catalog and catalog_entry(args.catalog).kind == "formula":
+    entry = catalog_entry(args.catalog) if args.catalog else None
+    if entry and entry.kind == "formula":
         if coeff is INTEGERS:
             raise CliError("formula entries need field coefficients", EXIT_PARSE)
-        dim = catalog_entry(args.catalog).dimension
-        pbar = parse_perversity(args.perversity, dim)
+        pbar = parse_perversity(args.perversity, entry.dimension)
         table = catalog_table(args.catalog, pbar, coeff.label)
         source = f"catalog:{args.catalog} (formula)"
     else:
@@ -293,8 +289,13 @@ def _parse_gram_entry(text, field):
 
 
 def load_gram_matrix(path_or_spec, field):
-    if path_or_spec.startswith("I") and path_or_spec[1:].isdigit():
-        n = int(path_or_spec[1:])
+    digits = path_or_spec[1:]
+    if path_or_spec.startswith("I") and digits.isdecimal():
+        # lengths are compared before int(), which refuses numerals of
+        # more than 4300 digits
+        if len(digits.lstrip("0")) > len(str(_MAX_IDENTITY)) or int(digits) > _MAX_IDENTITY:
+            raise CliError(f"identity forms are limited to I{_MAX_IDENTITY}", EXIT_PARSE)
+        n = int(digits)
         return BilinearForm(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], field
         )
@@ -432,7 +433,7 @@ def build_parser():
 
     p = sub.add_parser("witt-class", help="classify a symmetric form")
     p.add_argument("--matrix", required=True,
-                   help="matrix file (JSON) or I<n> for the identity")
+                   help=f"matrix file (JSON) or I<n> for the identity, n at most {_MAX_IDENTITY}")
     p.add_argument("--field", required=True, help="Q | Zp:<p> | Fq:<p>:<m>")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_witt_class)

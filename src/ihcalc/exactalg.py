@@ -407,6 +407,8 @@ def coeff_from_label(label):
         if label.startswith("F"):
             p, m = label[1:].split("^")
             return make_field(int(p), int(m))
+    except CoefficientError:
+        raise
     except ValueError:
         pass
     raise CoefficientError(f"not a coefficient label: {label!r}")

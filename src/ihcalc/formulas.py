@@ -148,13 +148,15 @@ def homology_with_coefficients(table: IHTable, group: AbelianGroup, r):
 def omega_splitting(h_table: IHTable, n: int, p: int) -> AbelianGroup:
     """Witt bordism of a space from its integral homology: the direct
     sum over r + s = n of H_r with coefficients in the degree-s bordism
-    group of a point."""
+    group of a point.  H_r(X; A) is zero above the table's top degree
+    plus one (its Tor term reads H_(r-1)), so the sum stops there and its
+    length does not depend on n."""
     if not h_table.is_integral:
         raise FormulaError("needs an integral homology table")
     total = AbelianGroup()
-    for s in range(n + 1):
-        coeffs = bordism_group(s, p)
+    for r in range(min(n, h_table.n + 1) + 1):
+        coeffs = bordism_group(n - r, p)
         if coeffs.is_trivial:
             continue
-        total = total + homology_with_coefficients(h_table, coeffs, n - s)
+        total = total + homology_with_coefficients(h_table, coeffs, r)
     return total

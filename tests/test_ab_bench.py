@@ -15,7 +15,7 @@ spec.loader.exec_module(ab_bench)
 STUB = """import json, sys
 seed = int(sys.argv[sys.argv.index("--seed") + 1])
 seconds = float(sys.argv[sys.argv.index("--seconds") + 1])
-wall = {wall} + seed / 100
+wall = {wall} + seed / 100 * {spread}
 print("noise line")
 print(json.dumps({{"correct": {correct}, "attempted": 10, "failed": {failed},
                   "metrics": {{"wall_s": {{"value": wall, "unit": "s"}},
@@ -24,11 +24,19 @@ print(json.dumps({{"correct": {correct}, "attempted": 10, "failed": {failed},
 """
 
 
-def stub_checkout(root, wall, failed=0, correct=True, run_seconds=40):
+def stub_checkout(root, wall, failed=0, correct=True, run_seconds=40, spread=1, bounds=None):
+    """A checkout whose run.py reports wall_s = wall + seed / 100 * spread;
+    `bounds` maps end-to-end metric names to the bound BENCHMARK.json
+    gives them."""
     (root / "perfbench").mkdir(parents=True)
     (root / "perfbench" / "run.py").write_text(
-        STUB.format(wall=wall, failed=failed, correct=correct))
-    (root / "BENCHMARK.json").write_text(json.dumps({"run_seconds": run_seconds}))
+        STUB.format(wall=wall, failed=failed, correct=correct, spread=spread))
+    bench = {"run_seconds": run_seconds}
+    if bounds is not None:
+        bench["end_to_end"] = [
+            {"name": name, "bound": bound} for name, bound in bounds.items()
+        ]
+    (root / "BENCHMARK.json").write_text(json.dumps(bench))
     return str(root)
 
 
@@ -87,8 +95,11 @@ def test_same_checkout_on_both_sides(tmp_path, capsys):
 def test_summary_of_one_pair():
     lines = ab_bench.summarize([{"wall_s": 2.0}], [{"wall_s": 1.5}])
     assert lines == [
-        "wall_s           A          2 [2, 2]  B        1.5 [1.5, 1.5]  B lower in 1/1"
+        "wall_s           A          2 [2, 2]  B        1.5 [1.5, 1.5]   -25.0%  B lower in 1/1"
     ]
+    bounded = ab_bench.summarize([{"wall_s": 2.0}], [{"wall_s": 1.5}],
+                                 [{"name": "wall_s", "bound": 0.25}])
+    assert bounded == [lines[0] + "  ok"]
 
 
 @pytest.mark.parametrize("pairs", ["0", "-2"])
@@ -100,3 +111,41 @@ def test_pairs_below_one_is_a_usage_error(tmp_path, capsys, pairs):
     captured = capsys.readouterr()
     assert "--pairs must be at least 1" in captured.err
     assert "Traceback" not in captured.err and not captured.out
+
+
+def summary_line(out, name):
+    return next(line for line in out if line.startswith(name + " "))
+
+
+@pytest.mark.parametrize(
+    "a_wall,a_spread,b_wall,b_spread,want",
+    [
+        (3.0, 1, 2.0, 1, "ok"),  # B better, A tight
+        (3.0, 1, 3.0, 1, "ok"),  # equal medians, A tight
+        (2.0, 1, 3.0, 1, "worse"),  # B's median 50% above A's
+        (2.0, 1, 2.05, 1, "ok"),  # +2.4%, inside the 5% bound
+        (3.0, 20, 3.0, 20, "unresolved"),  # A's quartiles 8.6% apart
+        (3.0, 20, 1.0, 1, "ok"),  # A spread wide, but every B run is lower
+    ],
+)
+def test_verdict_against_the_bound(tmp_path, capsys, a_wall, a_spread, b_wall, b_spread, want):
+    bounds = {"wall_s": 0.05, "peak_rss_mb": 0.1}
+    a = stub_checkout(tmp_path / "a", a_wall, spread=a_spread, bounds=bounds)
+    b = stub_checkout(tmp_path / "b", b_wall, spread=b_spread, bounds={})
+    assert ab_bench.main([a, b, "--workload", "prebuilt", "--pairs", "4"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert summary_line(out, "wall_s").endswith(f"  {want}")
+    # equal on both sides: no change
+    assert summary_line(out, "peak_rss_mb").endswith("  +0.0%  B lower in 0/4  ok")
+    # a metric that BENCHMARK.json does not bound gets no verdict
+    assert summary_line(out, "seconds").endswith("B lower in 0/4")
+
+
+def test_relative_change_of_the_medians(tmp_path, capsys):
+    a = stub_checkout(tmp_path / "a", 3.0, bounds={"wall_s": 0.25})
+    b = stub_checkout(tmp_path / "b", 2.0)
+    assert ab_bench.main([a, b, "--workload", "prebuilt", "--pairs", "3", "--seed", "5"]) == 0
+    wall = summary_line(capsys.readouterr().out.splitlines(), "wall_s")
+    # medians 3.06 and 2.06
+    assert "  -32.7%  B lower in 3/3  ok" in wall
+

@@ -10,7 +10,9 @@ import time
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ihcalc.cli import main
+from ihcalc import cli
+from ihcalc.cli import main, parse_coefficients
+from ihcalc.exactalg import PrimeField, coeff_from_label
 
 # suspension of a triangle circle: a 2-sphere with the poles (3 and 4)
 # marked as the 0-skeleton
@@ -60,6 +62,19 @@ class TestExitCodes:
     def test_bad_coefficients(self, capsys):
         assert main(["compute", "--catalog", "S2", "--coeff", "Zp:4"]) == 2
         assert main(["compute", "--catalog", "S2", "--coeff", "R"]) == 2
+
+    @pytest.mark.parametrize("spec", ["R", "Zp:", "Zp:x", "Zp:3:1", "Fq:2", "Fq:2:2:", "Z:", "Q:1", "Fq:a:2"])
+    def test_coefficient_spec_of_the_wrong_shape(self, capsys, spec):
+        assert main(["compute", "--catalog", "S2", "--coeff", spec]) == 2
+        assert f"bad coefficient spec {spec!r}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("spec,label", [
+        ("Q", "Q"), ("Z", "Z"), ("Zp:3", "Z3"), (" Zp:5 ", "Z5"), ("Fq:2:2", "F2^2"),
+        ("Fq:3:2", "F3^2"), ("Fq:5:1", "F5^1"), ("Zp:+7", "Z7"),
+    ])
+    def test_coefficient_spec_reads_as_its_label(self, spec, label):
+        ring, want = parse_coefficients(spec), coeff_from_label(label)
+        assert type(ring) is type(want) and ring.label == want.label
 
     def test_invalid_perversity(self, capsys):
         r = main(["compute", "--catalog", "cone_RP2", "--perversity", "p:0,2"])
@@ -293,6 +308,29 @@ class TestWittClass:
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("spec", ["I1001", "I01001", "I" + "9" * 5000])
+    def test_identity_above_the_bound(self, monkeypatch, capsys, spec):
+        def refuse(*args, **kw):
+            raise AssertionError("an oversized identity was built")
+
+        monkeypatch.setattr(cli, "BilinearForm", refuse)
+        start = time.perf_counter()
+        assert main(["witt-class", "--matrix", spec, "--field", "Zp:3"]) == 2
+        assert time.perf_counter() - start < 1
+        assert "limited to I1000" in capsys.readouterr().err
+
+    def test_identity_needs_a_decimal_numeral(self, capsys):
+        # "²" is a digit to str.isdigit but not a numeral to int()
+        assert main(["witt-class", "--matrix", "I²", "--field", "Q"]) == 2
+        assert "cannot read matrix file" in capsys.readouterr().err
+
+    def test_identity_at_the_bound(self, monkeypatch):
+        # the largest identity is still built; the stub stands in for
+        # the form, whose classification is not under test here
+        monkeypatch.setattr(cli, "BilinearForm", lambda rows, field: len(rows))
+        assert cli.load_gram_matrix("I1000", PrimeField(3)) == 1000
+        assert cli.load_gram_matrix("I0", PrimeField(3)) == 0
+
 
 class TestBordism:
     def test_point_groups(self, capsys):
@@ -308,6 +346,18 @@ class TestBordism:
 
     def test_composite_prime_rejected(self, capsys):
         assert main(["bordism", "--n", "4", "--p", "6"]) == 2
+
+    def test_huge_degree_with_space(self, tmp_path, capsys):
+        circle = {"dimension": 1,
+                  "maximal_simplices": [[0, 1], [1, 2], [0, 2]]}
+        p = tmp_path / "s1.json"
+        p.write_text(json.dumps(circle))
+        start = time.perf_counter()
+        assert main(["bordism", "--n", str(10**12 + 1), "--p", "3",
+                     "--space", str(p), "--json"]) == 0
+        assert time.perf_counter() - start < 1
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["group"]["torsion"] == [4]
 
     def test_negative_degree_is_trivial(self, capsys):
         assert main(["bordism", "--n", "-4", "--p", "3", "--json"]) == 0

@@ -1,5 +1,7 @@
 """Closed-form homology engines and the bordism splitting."""
 
+import time
+
 import pytest
 
 from ihcalc.catalog import catalog_build, catalog_table
@@ -14,7 +16,7 @@ from ihcalc.formulas import (
     suspension_formula,
 )
 from ihcalc.ihcore import IHTable, Perversity, ih_homology, ordinary_homology
-from ihcalc.witt import AbelianGroup
+from ihcalc.witt import AbelianGroup, bordism_group
 
 
 def table(label, dims):
@@ -180,3 +182,34 @@ class TestOmegaSplitting:
     def test_rejects_field_table(self):
         with pytest.raises(FormulaError):
             omega_splitting(table("Q", [1]), 4, 3)
+
+    @staticmethod
+    def _every_degree(h_table, n, p):
+        # the sum as first written: one term per bordism degree s = 0..n
+        total = AbelianGroup()
+        for s in range(n + 1):
+            coeffs = bordism_group(s, p)
+            if not coeffs.is_trivial:
+                total = total + homology_with_coefficients(h_table, coeffs, n - s)
+        return total
+
+    @pytest.mark.parametrize("name", ["RP2", "Klein", "L3_1", "T2", "top torsion"])
+    def test_matches_the_sum_over_every_degree(self, name):
+        if name == "top torsion":
+            # a table no complex has, whose Tor term reaches one degree
+            # above the top
+            h = IHTable(coeff_label="Z", n=1, free_ranks=(1, 0), torsion=((), (2, 4)))
+        else:
+            h = ordinary_homology(catalog_build(name).complex, INTEGERS)
+        for p in (2, 3, 5, 7):
+            for n in range(-2, 21):
+                assert omega_splitting(h, n, p) == self._every_degree(h, n, p), (n, p)
+
+    def test_huge_degree(self):
+        h = ordinary_homology(catalog_build("L3_1").complex, INTEGERS)
+        start = time.perf_counter()
+        g = omega_splitting(h, 10**12, 3)
+        assert time.perf_counter() - start < 1
+        # 10^12 = 0 mod 4: Z/4 from H_0; H_3 = Z meets degree 10^12 - 3
+        assert g == AbelianGroup(0, (4,))
+        assert omega_splitting(h, 10**12 + 3, 3) == AbelianGroup(0, (4,))

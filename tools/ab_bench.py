@@ -8,12 +8,16 @@ checkout A's BENCHMARK.json sets (`run_seconds`), one run after the
 other; the side that goes first alternates from pair to pair, so that a
 drift in the machine's speed falls on both sides alike.  The two sides
 are kept apart by position, so the same checkout may be given twice to
-measure the noise of the machine.  For every end-to-end
-metric the script prints, per side, the median and the quartiles over
-the pairs, and how many pairs the second checkout wins (lower is
-better for every end-to-end metric of this benchmark).  A run that
-fails, reports failed operations or reports a wrong answer stops the
-script with exit code 1.
+measure the noise of the machine.  For every metric the script prints,
+per side, the median and the quartiles over the pairs, the relative
+change of the medians from A to B, and how many pairs the second
+checkout wins (lower is better for every end-to-end metric of this
+benchmark).  An end-to-end metric of A's BENCHMARK.json also gets a
+verdict against its `bound`: `worse` when B's median is worse than
+A's by more than the bound, `unresolved` when A's quartile spread is
+wider than the bound and not every B run beats every A run, and `ok`
+otherwise.  A run that fails, reports failed operations or reports a
+wrong answer stops the script with exit code 1.
 Uses only the standard library.
 """
 
@@ -48,20 +52,40 @@ def quartiles(values):
     return q1, q3
 
 
-def summarize(runs_a, runs_b):
-    """Lines of the report: per metric, median [q1, q3] on each side and
-    the pairs in which side B is lower."""
+def verdict(a, b, bound):
+    """`worse`, `unresolved` or `ok` for the runs `b` against the runs `a`
+    of a metric where lower is better, with this relative `bound`."""
+    ma = statistics.median(a)
+    if statistics.median(b) - ma > bound * abs(ma):
+        return "worse"
+    q1, q3 = quartiles(a)
+    if q3 - q1 > bound * abs(ma) and not max(b) < min(a):
+        return "unresolved"
+    return "ok"
+
+
+def summarize(runs_a, runs_b, end_to_end=()):
+    """Lines of the report: per metric, median [q1, q3] on each side, the
+    relative change of the medians, the pairs in which side B is lower,
+    and a verdict for each metric of `end_to_end` (BENCHMARK.json's
+    entries, each with a name and a bound)."""
+    bounds = {m["name"]: m["bound"] for m in end_to_end}
     lines = []
     for name in sorted(runs_a[0]):
         a = [r[name] for r in runs_a]
         b = [r[name] for r in runs_b]
         wins = sum(y < x for x, y in zip(a, b))
         (qa1, qa3), (qb1, qb3) = quartiles(a), quartiles(b)
-        lines.append(
-            f"{name:16s} A {statistics.median(a):10.4g} [{qa1:.4g}, {qa3:.4g}]"
-            f"  B {statistics.median(b):10.4g} [{qb1:.4g}, {qb3:.4g}]"
-            f"  B lower in {wins}/{len(a)}"
+        ma, mb = statistics.median(a), statistics.median(b)
+        change = (mb - ma) / ma if ma else float("nan")
+        line = (
+            f"{name:16s} A {ma:10.4g} [{qa1:.4g}, {qa3:.4g}]"
+            f"  B {mb:10.4g} [{qb1:.4g}, {qb3:.4g}]"
+            f"  {change:+7.1%}  B lower in {wins}/{len(a)}"
         )
+        if name in bounds:
+            line += f"  {verdict(a, b, bounds[name])}"
+        lines.append(line)
     return lines
 
 
@@ -76,7 +100,8 @@ def main(argv=None):
     if args.pairs < 1:
         ap.error("--pairs must be at least 1")
     sides = (args.a, args.b)
-    seconds = json.loads((Path(args.a) / "BENCHMARK.json").read_text())["run_seconds"]
+    bench = json.loads((Path(args.a) / "BENCHMARK.json").read_text())
+    seconds = bench["run_seconds"]
     runs = ([], [])
     try:
         for k in range(args.pairs):
@@ -90,7 +115,7 @@ def main(argv=None):
         print(f"error: {e}", file=sys.stderr)
         return 1
     print(f"workload {args.workload}, {args.pairs} pairs, {seconds:g} s per run")
-    for line in summarize(*runs):
+    for line in summarize(*runs, bench.get("end_to_end", ())):
         print(line)
     return 0
 
