@@ -262,7 +262,7 @@ def _build_CP2_sum():
 
 def _build_J():
     L = catalog_build("L3_1").complex
-    K, _ = relabel_canonical(contract_edges(product_complex(L, _build_S1())))
+    K, _ = relabel_canonical(product_complex(L, _build_S1()))
     return _certify(K, "J_L3", (1, 1, 0, 1, 1), ((), (3,), (3,), (), ()))
 
 

@@ -189,6 +189,11 @@ def cmd_compute(args):
     coeff = parse_coefficients(args.coeff)
     entry = catalog_entry(args.catalog) if args.catalog else None
     if entry and entry.kind == "formula":
+        flags = [flag for flag, on in (("--strict", args.strict),
+                                       ("--normalize-triangulation", args.normalize_triangulation)) if on]
+        if flags:
+            raise CliError(f"{' and '.join(flags)} need a triangulated space; "
+                           f"{args.catalog} is a formula entry", EXIT_PARSE)
         if coeff is INTEGERS:
             raise CliError("formula entries need field coefficients", EXIT_PARSE)
         pbar = parse_perversity(args.perversity, entry.dimension)

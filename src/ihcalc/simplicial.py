@@ -59,23 +59,21 @@ class SimplicialComplex:
 
     @classmethod
     def from_maximal(cls, maximal):
-        by_dim = {}
-        seen = set()
-        stack = [frozenset(m) for m in maximal]
-        for m in stack:
+        """The downward closure of `maximal`, one dimension at a time:
+        the d-simplices are the given ones of dimension d plus the
+        codimension-1 faces of the (d+1)-simplices."""
+        top = {}
+        for m in maximal:
+            m = frozenset(m)
             if not m:
                 raise SimplicialError("empty simplex in maximal list")
-        while stack:
-            s = stack.pop()
-            if s in seen or not s:
-                continue
-            seen.add(s)
-            by_dim.setdefault(len(s) - 1, set()).add(s)
-            if len(s) > 1:
-                for v in s:
-                    f = s - {v}
-                    if f not in seen:
-                        stack.append(f)
+            top.setdefault(len(m) - 1, set()).add(m)
+        by_dim = {}
+        cur = set()
+        for d in range(max(top, default=-1), -1, -1):
+            cur |= top.get(d, set())
+            by_dim[d] = cur
+            cur = {s - {v} for s in cur for v in s}
         return cls(by_dim)
 
     def faces(self, d):
@@ -670,8 +668,11 @@ def stratum_components(X: StratifiedComplex, d):
 def contract_edges(K):
     """Shrink a complex by contracting edges that satisfy the link
     condition, which preserves PL type on combinatorial manifolds.
-    Greedy sweeps in canonical edge order until nothing contracts."""
+    Greedy sweeps in canonical edge order until nothing contracts; the
+    edge ab, a before b, contracts b into a."""
     simplices = set(K.all_simplices())
+    rank = vertex_ranks(K)
+    order = list(rank)
     idx = {}
     for s in simplices:
         for v in s:
@@ -680,20 +681,24 @@ def contract_edges(K):
     changed = True
     while changed:
         changed = False
-        edges = sorted((s for s in simplices if len(s) == 2), key=simplex_key)
-        for e in edges:
+        # contraction only removes vertices, so the ranks of the
+        # survivors stay valid and rank pairs give the canonical order
+        edges = ranked_simplices([s for s in simplices if len(s) == 2], rank)
+        for (ra, rb), e in edges:
             if e not in simplices:
                 continue
-            a, b = sorted_vertices(e)
-            # The link condition lk(a) & lk(b) == lk(ab) fails exactly when
-            # some s in star(a) avoiding b has (s - a) + b in the complex
-            # but not s + b.
-            bb = {b}
+            a, b = order[ra], order[rb]
+            # The link condition lk(a) & lk(b) == lk(ab) is symmetric in a
+            # and b.  With x the endpoint of smaller star and y the other,
+            # it fails exactly when some s in star(x) avoiding y has
+            # (s - x) + y in the complex but not s + y.
+            x, y = (a, b) if len(idx[a]) <= len(idx[b]) else (b, a)
+            yy = {y}
             if any(
-                b not in s
-                and (s - {a}) | bb in simplices
-                and s | bb not in simplices
-                for s in idx[a]
+                y not in s
+                and (s - {x}) | yy in simplices
+                and s | yy not in simplices
+                for s in idx[x]
             ):
                 continue
             star_b = list(idx[b])

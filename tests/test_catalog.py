@@ -16,7 +16,13 @@ from ihcalc.catalog import (
 )
 from ihcalc.exactalg import INTEGERS, PrimeField, RATIONALS
 from ihcalc.ihcore import Perversity, ih_homology, ordinary_homology
-from ihcalc.simplicial import verify_pseudomanifold
+from ihcalc.simplicial import (
+    contract_edges,
+    product_complex,
+    simplex_key,
+    sorted_vertices,
+    verify_pseudomanifold,
+)
 
 
 # integral homology of each triangulated entry: (free ranks, torsion)
@@ -55,24 +61,66 @@ def test_triangulated_homology(name):
 
 
 # Golden triangulations: f-vector and the first 16 hex digits of the
-# sha256 of the sorted simplex list.  Constructions may get faster, but
-# every catalog space must stay the same complex.
+# sha256 of the simplex list in `simplex_key` order.  Constructions may
+# get faster, but every catalog space must stay the same complex.
 GOLDEN_TRIANGULATIONS = {
+    "S0": ((2,), "9c731319e6f8d3c3"),
+    "S1": ((3, 3), "ff2c755dab80b98f"),
+    "S2": ((4, 6, 4), "9378f6c1ba2ca40e"),
+    "T2": ((9, 27, 18), "bffe4f3e4a3825bc"),
+    "RP2": ((6, 15, 10), "08915671f2fbf9ee"),
+    "Klein": ((9, 27, 18), "72436a8b9eff885e"),
+    "genus2": ((15, 51, 34), "d3d8a68f5b4f6d4b"),
     "L2_1": ((11, 52, 82, 41), "673e6e621fa8b49d"),
     "L3_1": ((19, 123, 208, 104), "5ee304a77fbbdb9a"),
     "L5_1": ((22, 156, 268, 134), "14974a273f210fd3"),
     "J_L3": ((57, 795, 2610, 3120, 1248), "659f54dfa1f4e935"),
     "CP2": ((17, 116, 324, 370, 148), "cb2455d6b0fc038c"),
     "CP2#CP2": ((29, 222, 638, 735, 294), "8dfa6794fad634a0"),
+    "cone_RP2": ((7, 21, 25, 10), "7b62f72ef32533f2"),
+    "S_RP2": ((8, 27, 40, 20), "322214bc5d288bb3"),
+    "SS_RP2": ((10, 43, 94, 100, 40), "1d5a75495562f7d9"),
+    "S_T2": ((11, 45, 72, 36), "3c492a8161e41df6"),
+    "SJ_L3": ((59, 909, 4200, 8340, 7488, 2496), "54da0225f6ddc5b1"),
 }
+
+# digests of the skeleta X^0, ..., X^(n-1) of the stratified entries
+_APEX, _POLES, _POLES_2 = "8b2836ec15ab03da", "e48cd0c92605842c", "37c94338d47700d6"
+GOLDEN_SKELETA = {
+    "cone_RP2": (_APEX,) * 3,
+    "S_RP2": (_POLES,) * 3,
+    "SS_RP2": ("4f82ce7a4d48353d",) + (_POLES_2,) * 3,
+    "S_T2": (_POLES,) * 3,
+    "SJ_L3": (_POLES,) * 5,
+}
+
+
+def _digest(K):
+    simplices = [sorted_vertices(s) for s in sorted(K.all_simplices(), key=simplex_key)]
+    return hashlib.sha256(json.dumps(simplices).encode()).hexdigest()[:16]
+
+
+def test_golden_covers_every_triangulated_entry():
+    triangulated = {e.name for e in catalog_entries() if e.kind == "triangulated"}
+    assert set(GOLDEN_TRIANGULATIONS) == triangulated
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN_TRIANGULATIONS))
 def test_golden_triangulation(name):
     K = catalog_build(name).complex
-    simplices = sorted(tuple(sorted(s)) for s in K.all_simplices())
-    digest = hashlib.sha256(json.dumps(simplices).encode()).hexdigest()[:16]
-    assert (K.f_vector(), digest) == GOLDEN_TRIANGULATIONS[name]
+    assert (K.f_vector(), _digest(K)) == GOLDEN_TRIANGULATIONS[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_SKELETA))
+def test_golden_skeleta(name):
+    X = catalog_build(name)
+    assert tuple(_digest(sk) for sk in X.skeleta[:-1]) == GOLDEN_SKELETA[name]
+
+
+def test_no_edge_of_the_j_product_contracts():
+    # why the J_L3 build takes the staircase product as it is
+    P = product_complex(catalog_build("L3_1").complex, catalog_build("S1").complex)
+    assert contract_edges(P) == P
 
 
 class TestStratifiedEntries:

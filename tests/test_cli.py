@@ -200,6 +200,19 @@ class TestCompute:
     def test_formula_entry_rejects_integral(self, capsys):
         assert main(["compute", "--catalog", "Uhat_S2", "--coeff", "Z"]) == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--strict"],
+        ["--normalize-triangulation"],
+        ["--strict", "--normalize-triangulation"],
+    ], ids=["strict", "normalize", "both"])
+    def test_formula_entry_rejects_triangulation_flags(self, flags, capsys):
+        # neither flag can apply to a space given by a formula
+        assert main(["compute", "--catalog", "X8_SY", "--coeff", "Q"] + flags) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error:") and "Traceback" not in err
+        assert all(flag in err for flag in flags)
+
     def test_normalize_triangulation(self, space_file, capsys):
         assert main(["compute", "--space", space_file,
                      "--normalize-triangulation", "--json"]) == 0

@@ -26,6 +26,7 @@ from ihcalc.simplicial import (
     suspension,
     verify_pseudomanifold,
 )
+from ihcalc import catalog
 from ihcalc.catalog import catalog_build
 
 
@@ -364,3 +365,142 @@ class TestContraction:
         small = contract_edges(K)
         t = ordinary_homology(small, RATIONALS)
         assert (t.dim(0), t.dim(1), t.dim(2)) == (1, 2, 1)
+
+
+# --- reference copies of the earlier kernels ---------------------------------
+# `contract_edges` used to walk star(a) and sort its edges by `simplex_key`;
+# `from_maximal` used to close the maximal list with a stack.  The current
+# kernels must return exactly what these did.
+
+
+def reference_contract_edges(K):
+    simplices = set(K.all_simplices())
+    idx = {}
+    for s in simplices:
+        for v in s:
+            idx.setdefault(v, set()).add(s)
+    changed = True
+    while changed:
+        changed = False
+        edges = sorted((s for s in simplices if len(s) == 2), key=simplex_key)
+        for e in edges:
+            if e not in simplices:
+                continue
+            a, b = sorted_vertices(e)
+            bb = {b}
+            if any(
+                b not in s
+                and (s - {a}) | bb in simplices
+                and s | bb not in simplices
+                for s in idx[a]
+            ):
+                continue
+            for s in list(idx[b]):
+                simplices.discard(s)
+                for v in s:
+                    idx[v].discard(s)
+                t = frozenset(a if v == b else v for v in s)
+                if len(t) == len(s) and t not in simplices:
+                    simplices.add(t)
+                    for v in t:
+                        idx.setdefault(v, set()).add(t)
+            idx.pop(b, None)
+            changed = True
+    by_dim = {}
+    for s in simplices:
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+    return SimplicialComplex(by_dim)
+
+
+def reference_from_maximal(maximal):
+    by_dim = {}
+    seen = set()
+    stack = [frozenset(m) for m in maximal]
+    for m in stack:
+        if not m:
+            raise SimplicialError("empty simplex in maximal list")
+    while stack:
+        s = stack.pop()
+        if s in seen or not s:
+            continue
+        seen.add(s)
+        by_dim.setdefault(len(s) - 1, set()).add(s)
+        if len(s) > 1:
+            for v in s:
+                f = s - {v}
+                if f not in seen:
+                    stack.append(f)
+    return SimplicialComplex(by_dim)
+
+
+def quotient_inputs(name, monkeypatch):
+    """The complex a glued catalog build hands to `contract_edges`."""
+    seen = []
+
+    def record(K):
+        seen.append(K)
+        return contract_edges(K)
+
+    monkeypatch.setattr(catalog, "contract_edges", record)
+    catalog.catalog_entry(name).build()
+    (K,) = seen
+    return K
+
+
+class TestContractionMatchesReference:
+    @pytest.mark.parametrize("name", ["L2_1", "L3_1", "L5_1"])
+    def test_quotient_inputs(self, name, monkeypatch):
+        K = quotient_inputs(name, monkeypatch)
+        small = contract_edges(K)
+        assert small == reference_contract_edges(K)
+        assert small.f_vector() < K.f_vector()
+
+    @pytest.mark.parametrize("label", [
+        lambda v: (v % 3, -v),
+        lambda v: frozenset({v % 4, 100 + v}),
+    ], ids=["tuple", "frozenset"])
+    def test_relabelled_torus(self, label):
+        # labels whose canonical order is not the integer order
+        sd = barycentric_subdivision(catalog_build("T2").complex)
+        K = sd.relabel({v: label(v) for v in sd.vertices})
+        small = contract_edges(K)
+        assert small == reference_contract_edges(K)
+        assert small.f_vector()[0] < K.f_vector()[0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    def test_random_complexes(self, generators):
+        K = SimplicialComplex.from_maximal(generators)
+        assert contract_edges(K) == reference_contract_edges(K)
+
+
+class TestFromMaximalMatchesReference:
+    @pytest.mark.parametrize("maximal", [
+        [{0, 1, 2, 3}, {3, 4}, {5}],
+        [{0, 1, 2}, {0, 1}, {1}, {2, 3}],
+        [{0, 1, 2}, {0, 1, 2}, {2, 1, 0}, {4, 5}, {5, 4}],
+        [("a", 1), ("a", 2)],
+        [],
+    ], ids=["mixed", "nested", "duplicated", "labels", "none"])
+    def test_lists(self, maximal):
+        assert SimplicialComplex.from_maximal(maximal) == reference_from_maximal(maximal)
+
+    def test_empty_simplex(self):
+        with pytest.raises(SimplicialError, match="empty simplex in maximal list"):
+            SimplicialComplex.from_maximal([{0, 1}, set()])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(
+            st.frozensets(st.integers(0, 7), min_size=1, max_size=5),
+            max_size=12,
+        )
+    )
+    def test_random_lists(self, generators):
+        assert SimplicialComplex.from_maximal(generators) == reference_from_maximal(generators)

@@ -64,3 +64,35 @@ def test_unread_private_name_is_detected():
 def test_no_unread_private_names():
     sources = [path.read_text() for path in sorted(PACKAGE.glob("*.py"))]
     assert unread_private_names(sources) == []
+
+
+def cached_functions(source):
+    """Functions in `source` decorated with functools' `lru_cache` or
+    `cache`, bare, called, or through the module (`functools.cache`)."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for dec in node.decorator_list:
+                target = dec.func if isinstance(dec, ast.Call) else dec
+                name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                if name in ("lru_cache", "cache"):
+                    out.append(node.name)
+    return out
+
+
+def test_cached_function_is_detected():
+    source = (
+        "import functools\nfrom functools import lru_cache\n\n"
+        "@lru_cache(maxsize=None)\ndef build(name):\n    return name\n\n"
+        "@functools.cache\ndef table(name):\n    return name\n\n"
+        "@staticmethod\ndef plain():\n    return 0\n"
+    )
+    assert cached_functions(source) == ["build", "table"]
+
+
+def test_catalog_build_is_the_only_cache():
+    # a cold CLI call must pay for its space: nothing else may keep a
+    # build alive between calls of cli.main
+    found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
+             for name in cached_functions(path.read_text())]
+    assert found == [("catalog.py", "catalog_build")]
