@@ -2,16 +2,16 @@
 
 Everything here is exact: rationals use arbitrary-precision fractions,
 Z_p uses integers mod p, F_{p^m} (at most 2^16 elements) uses
-logarithm and Zech logarithm tables built on first use, and integer
-computations (Smith normal form, integer kernels) never leave Z.  No
-floating point anywhere.  Rank, kernel and solve run in the prime field
-of the coefficients.  Rank and the Smith normal form share one pass of
-unit pivots taken sparsest column first; mod p it is the whole rank,
-and over Q the echelon routine behind kernel and solve finishes the
-small core it leaves.  `kernel_image`, which every homology table uses,
-first runs that pass on a chosen set of rows, then finishes with the
-rank or the Smith normal form on the same index; it can leave columns
-out, and returns the rows it pivoted on, for clearing (see there).
+logarithm and Zech logarithm tables built on first use, and the Smith
+normal form never leaves Z.  No floating point anywhere.  Ranks are
+taken in the prime field of the coefficients.  There is one elimination:
+a pass of unit pivots taken sparsest column first, then Euclid steps on
+the core it leaves, then the rank, or over Z Smith's column step.  Mod p
+the unit pass is the whole rank; over Q the Euclid steps finish it.
+`kernel_image`, which every homology table uses, first runs the unit
+and Euclid pivots on a chosen set of rows, then finishes with the rank
+or the Smith normal form on the same index; it can leave columns out,
+and returns the rows it pivoted on, for clearing (see there).
 Primes must be below 2^64.
 """
 
@@ -21,7 +21,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 # Largest order of an extension field: its tables hold q entries each.
@@ -471,12 +471,6 @@ class ExactMatrix:
     def identity(cls, n):
         return cls(n, n, {(i, i): 1 for i in range(n)})
 
-    def col_dicts(self):
-        cols = [dict() for _ in range(self.ncols)]
-        for (r, c), v in self.entries.items():
-            cols[c][r] = v
-        return cols
-
     def __eq__(self, other):
         return (
             isinstance(other, ExactMatrix)
@@ -506,95 +500,6 @@ def prime_field(coeff):
     if isinstance(coeff, FiniteField):
         return PrimeField(coeff.p)
     raise CoefficientError(f"unsupported coefficients {coeff!r}")
-
-
-def _sub_multiple(x, f, y, p):
-    """x -= f * y mod p, in place, on sparse dicts."""
-    for k, v in y.items():
-        nv = (x.get(k, 0) - f * v) % p
-        if nv:
-            x[k] = nv
-        else:
-            x.pop(k, None)
-
-
-def _cross(fa, x, fb, y):
-    """fa * x - fb * y on sparse integer dicts."""
-    out = {}
-    for k in x.keys() | y.keys():
-        v = fa * x.get(k, 0) - fb * y.get(k, 0)
-        if v:
-            out[k] = v
-    return out
-
-
-def _echelon(vectors, p, traced=False):
-    """Sparse elimination of `vectors` (dicts {index: value}) in input
-    order, each pivoting on its lowest index.
-
-    For a prime p it works mod p and scales each pivot to 1.  For p == 0
-    it is fraction-free over Z: denominators are cleared once, steps
-    cross-multiply, and each vector and its trace are divided by their
-    common content.  Returns the pivots, {lowest index: (vector,
-    trace)}, and {input position: trace} for every dependent vector.  A
-    trace (None unless traced) writes its vector as
-    sum(trace[j] * vectors[j]), so a dependent vector's trace is a
-    relation summing to 0."""
-    pivots = {}
-    relations = {}
-    for j, vec in enumerate(vectors):
-        if p:
-            row = {c: v % p for c, v in vec.items() if v % p}
-            trace = {j: 1} if traced else None
-        else:
-            denom = lcm(
-                *(v.denominator for v in vec.values() if isinstance(v, Fraction))
-            )
-            row = {c: int(v * denom) for c, v in vec.items() if v}
-            g = gcd(*row.values(), denom if traced else 0)
-            if g > 1:
-                row = {c: v // g for c, v in row.items()}
-            trace = {j: denom // g} if traced else None
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                if p:
-                    f = pow(row[c], p - 2, p)
-                    row = {cc: v * f % p for cc, v in row.items()}
-                    if traced:
-                        trace = {jj: v * f % p for jj, v in trace.items()}
-                pivots[c] = (row, trace)
-                break
-            prow, ptrace = piv
-            if p:
-                f = row[c]
-                _sub_multiple(row, f, prow, p)
-                if traced:
-                    _sub_multiple(trace, f, ptrace, p)
-                continue
-            a, b = row[c], prow[c]
-            g = gcd(a, b)
-            fa, fb = b // g, a // g
-            row = _cross(fa, row, fb, prow)
-            g = gcd(*row.values())
-            if traced:
-                trace = _cross(fa, trace, fb, ptrace)
-                g = gcd(g, *trace.values())
-                if g > 1:
-                    trace = {jj: v // g for jj, v in trace.items()}
-            if g > 1:
-                row = {cc: v // g for cc, v in row.items()}
-        else:
-            relations[j] = trace
-    return pivots, relations
-
-
-def _quotient(a, s, p):
-    """a / s in the prime field of characteristic p."""
-    if p:
-        return a * pow(s, p - 2, p) % p
-    return Fraction(a, s)
 
 
 def _index(entries, p):
@@ -670,23 +575,25 @@ def rank(A: ExactMatrix, coeff) -> int:
     """Rank of A over a coefficient field.
 
     Unit pivots go first, sparsest column first (`_unit_pivots`); mod p
-    they are the whole rank, and over Q `_echelon` finishes the small
-    core they leave."""
+    they are the whole rank, and over Q Euclid steps finish the small
+    core they leave (`_euclid_pivots`)."""
     p = prime_field(coeff).char
     return _rank(*_index(A.entries, p), p)[0]
 
 
 def _rank(rows, cols, p):
-    """(rank, pivot columns): the unit pivots, then `_echelon`'s."""
+    """(rank, pivot columns): the unit pivots, then the Euclid pivots of
+    whatever core is left."""
     pivots = _unit_pivots(rows, cols, p)
-    pivots.extend(_echelon([r for r in rows.values() if r], p)[0])
+    pivots.extend(_euclid_pivots(rows, cols, cols))
     return len(pivots), pivots
 
 
 def _euclid(rows, cols, c):
     """Clear the nonempty column c down to one row by integer row
     operations, each round subtracting multiples of the entry of least
-    absolute value; return that row."""
+    absolute value; return that row.  Over Q the entries of c lie in
+    (1/L)Z, L the common denominator, so this ends as it does over Z."""
     col = cols[c]
     while True:
         pr = min(col, key=lambda r: (abs(rows[r][c]), len(rows[r]), r))
@@ -695,6 +602,21 @@ def _euclid(rows, cols, c):
         for r in list(col):
             if r != pr:
                 _add_row(rows, cols, pr, r, -(rows[r][c] // rows[pr][c]), 0)
+
+
+def _euclid_pivots(rows, cols, only):
+    """Pivot on each column of `only` that still has entries, in
+    ascending order: `_euclid` leaves it one row, and that row and the
+    column are dropped; return those columns.  Each pivot is the only
+    entry left in its column, and no later step touches its row, so the
+    pivots are triangular with nonzero diagonal.  After the unit pass
+    mod p no column has entries."""
+    pivots = []
+    for c in sorted(only):
+        if cols.get(c):
+            _drop(rows, cols, _euclid(rows, cols, c), c)
+            pivots.append(c)
+    return pivots
 
 
 def kernel_image(A: ExactMatrix, rows, coeff, skip=()):
@@ -727,102 +649,8 @@ def kernel_image(A: ExactMatrix, rows, coeff, skip=()):
     idx, cols = _index(
         {(c, r): v for (r, c), v in entries.items() if c not in skip}, p)
     bad = cols.keys() & set(rows)
-    count = len(_unit_pivots(idx, cols, p, only=bad))
-    for c in sorted(bad):
-        if cols.get(c):
-            _drop(idx, cols, _euclid(idx, cols, c), c)
-            count += 1
+    count = len(_unit_pivots(idx, cols, p, only=bad) + _euclid_pivots(idx, cols, bad))
     return (count, *(_smith(idx, cols) if integral else _rank(idx, cols, p)))
-
-
-def kernel_basis(A: ExactMatrix, coeff):
-    """Basis of ker A over a field, as dense lists of length ncols: one
-    vector per column that depends on the columns before it, with
-    coefficient 1 on that column."""
-    field = prime_field(coeff)
-    p = field.char
-    _, relations = _echelon(A.col_dicts(), p, traced=True)
-    kernel = []
-    for j, trace in relations.items():
-        vec = [field.zero] * A.ncols
-        for jj, v in trace.items():
-            vec[jj] = _quotient(v, trace[j], p)
-        kernel.append(vec)
-    return kernel
-
-
-def _xgcd(a, b):
-    """(g, x, y) with g = gcd(a, b) >= 0 and a*x + b*y = g."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
-def integer_kernel_basis(A: ExactMatrix):
-    """Basis of the integer kernel lattice of A (saturated by construction),
-    as dense integer lists of length ncols."""
-    cols = A.col_dicts()
-    pivots = {}  # row -> (column dict, trace dict), pivot entry positive
-    kernel = []
-    for j in range(A.ncols):
-        col = dict(cols[j])
-        trace = {j: 1}
-        while col:
-            r = min(col)
-            piv = pivots.get(r)
-            if piv is None:
-                if col[r] < 0:
-                    col = {rr: -v for rr, v in col.items()}
-                    trace = {jj: -v for jj, v in trace.items()}
-                pivots[r] = (col, trace)
-                break
-            pcol, ptrace = piv
-            a, b = pcol[r], col[r]
-            g, x, y = _xgcd(a, b)
-            fa, fb = a // g, b // g
-            # new pivot x*pcol + y*col has entry g at r; the new column
-            # (a/g)*col - (b/g)*pcol has entry 0 there
-            pivots[r] = (_cross(x, pcol, -y, col), _cross(x, ptrace, -y, trace))
-            col, trace = _cross(fa, col, fb, pcol), _cross(fa, trace, fb, ptrace)
-        else:
-            vec = [0] * A.ncols
-            for jj, v in trace.items():
-                vec[jj] = v
-            kernel.append(vec)
-    return kernel
-
-
-def solve_columns(basis_cols, target_cols, coeff):
-    """Express each target column in terms of the independent basis columns.
-
-    Returns a list of dicts {basis index: coefficient}.  Raises if a target
-    is not in the span.  Over Integers, solves with exact rationals and
-    checks integrality (valid for saturated bases)."""
-    p = 0 if isinstance(coeff, Integers) else prime_field(coeff).char
-    k = len(basis_cols)
-    _, relations = _echelon(list(basis_cols) + list(target_cols), p, traced=True)
-    if any(j < k for j in relations):
-        raise CoefficientError("basis columns are dependent")
-    results = []
-    for t in range(k, k + len(target_cols)):
-        trace = relations.get(t)
-        if trace is None:
-            raise CoefficientError("target not in span of basis")
-        coords = {}
-        for jj, v in trace.items():
-            if jj != t:
-                coords[jj] = _quotient(-v, trace[t], p)
-        if isinstance(coeff, Integers):
-            if any(v.denominator != 1 for v in coords.values()):
-                raise CoefficientError("non-integral solution")
-            coords = {jj: v.numerator for jj, v in coords.items()}
-        results.append(coords)
-    return results
 
 
 # --- Smith normal form -----------------------------------------------------

@@ -20,9 +20,6 @@ top down: column operations on D[i] clear its bad rows, and what is left
 spans the boundaries of the allowable chains, ranked over a field or
 put in Smith normal form over Z; the faces D[i + 1] pivoted on are left
 out of D[i] (clearing).  `ordinary_homology` passes no bad rows.
-`intersection_chain_complex` builds explicit bases with kernel lattices
-instead, and changes basis with `solve_columns`; it is an independent
-reference for the tables.
 """
 
 from bisect import bisect_left
@@ -33,11 +30,8 @@ from .exactalg import (
     Integers,
     INTEGERS,
     PrimeField,
-    integer_kernel_basis,
-    kernel_basis,
     kernel_image,
     prime_field,
-    solve_columns,
 )
 from .simplicial import (
     SimplicialComplex,
@@ -192,15 +186,9 @@ def _boundary(simplices, faces):
     return D
 
 
-def _row_block(D, rows):
-    """The rows `rows` of D, as a matrix of their own."""
-    pos = {r: k for k, r in enumerate(rows)}
-    entries = {(pos[r], c): v for (r, c), v in D.entries.items() if r in pos}
-    return ExactMatrix(len(rows), D.ncols, entries)
-
-
 class _ChainData:
-    """Boundary matrices of the allowable spans, shared by the engines.
+    """Boundary matrices of the allowable spans, from which the tables
+    are computed.
 
     For each degree i: A[i] is the list of allowable i-simplices in
     `simplex_key` order, D[i] the boundary matrix from span A[i] to the
@@ -221,18 +209,6 @@ class _ChainData:
             allowed = [t for (t, _), a in zip(faces[i], ok[i]) if a]
             self.D.append(_boundary(allowed, [t for t, _ in faces[i - 1]]))
             self.bad.append([r for r, a in enumerate(ok[i - 1]) if not a])
-
-
-def _combine(cols, coeffs, p):
-    """Sparse column sum(c * cols[t] for t, c in coeffs), mod p if p > 0."""
-    acc = {}
-    for t, c in coeffs:
-        if c:
-            for r, v in cols[t].items():
-                acc[r] = acc.get(r, 0) + c * v
-    if p:
-        return {r: v % p for r, v in acc.items() if v % p}
-    return {r: v for r, v in acc.items() if v}
 
 
 @dataclass(frozen=True)
@@ -349,72 +325,6 @@ def ih_homology(X: StratifiedComplex, pbar: Perversity, coeff) -> IHTable:
         )
     data = _ChainData(X, pbar)
     return _homology_table(coeff, [len(a) for a in data.A], data.D, data.bad)
-
-
-@dataclass
-class IntersectionChainComplex:
-    """Explicit chain-level data: per degree, the allowable simplices,
-    a basis of the intersection chains in those coordinates, and the
-    boundary matrix between consecutive bases."""
-
-    n: int
-    coeff_label: str
-    allowable: list
-    bases: list
-    boundaries: list
-
-
-def intersection_chain_complex(X, pbar, coeff):
-    """Explicit intersection chain complex: bases of the chain lattices
-    (over Z) or subspaces (over a field, worked in its prime field), and
-    the boundary matrices in those coordinates."""
-    data = _ChainData(X, pbar)
-    n = data.n
-    integral = isinstance(coeff, Integers)
-    ring = coeff if integral else prime_field(coeff)
-    p = ring.char
-    a0 = len(data.A[0])
-    one, zero = ring.one, ring.zero
-    bases = [[[one if j == t else zero for j in range(a0)] for t in range(a0)]]
-    for i in range(1, n + 1):
-        B = _row_block(data.D[i], data.bad[i])
-        bases.append(integer_kernel_basis(B) if integral else kernel_basis(B, ring))
-    boundaries = [ExactMatrix(0, a0)]
-    for i in range(1, n + 1):
-        if not bases[i] or not bases[i - 1]:
-            boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i])))
-            continue
-        # boundaries of the basis vectors, in the coordinates of A[i - 1]
-        Dcols, bad = data.D[i].col_dicts(), set(data.bad[i])
-        good = (r for r in range(data.D[i].nrows) if r not in bad)
-        pos = {r: t for t, r in enumerate(good)}
-        targets = []
-        for u in bases[i]:
-            col = _combine(Dcols, enumerate(u), p)
-            if not col.keys() <= pos.keys():
-                raise PerversityError("boundary leaked onto a bad face")
-            targets.append({pos[r]: v for r, v in col.items()})
-        basis_cols = [{t: c for t, c in enumerate(u) if c} for u in bases[i - 1]]
-        sols = solve_columns(basis_cols, targets, ring)
-        entries = {(r, j): v for j, sol in enumerate(sols) for r, v in sol.items()}
-        boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i]), entries))
-    icc = IntersectionChainComplex(
-        n=n,
-        coeff_label=coeff.label,
-        allowable=data.A,
-        bases=bases,
-        boundaries=boundaries,
-    )
-    _assert_square_zero(icc, p)
-    return icc
-
-
-def _assert_square_zero(icc, p):
-    for i in range(2, icc.n + 1):
-        lo = icc.boundaries[i - 1].col_dicts()
-        for col in icc.boundaries[i].col_dicts():
-            if _combine(lo, col.items(), p):
-                raise AssertionError("boundary squared is nonzero")
 
 
 def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:

@@ -257,9 +257,6 @@ class StratifiedComplex:
             return self.complex
         return self.skeleta[i]
 
-    def singular_locus(self):
-        return self.skeleton(self.n - 2)
-
     def relabel(self, mapping):
         return StratifiedComplex(
             self.complex.relabel(mapping),

@@ -11,6 +11,7 @@ from fractions import Fraction
 
 from .exactalg import (
     CoefficientError,
+    Integers,
     PrimeField,
     Rationals,
     coeff_from_label,
@@ -407,6 +408,8 @@ def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
     """Middle-perversity vanishing at the middle degree of every link of
     every odd-codimension stratum component (codimension at least 3);
     equal links, such as the two poles of a suspension, share one table."""
+    if isinstance(coeff, Integers):
+        raise WittError("the Witt condition is tested over fields")
     rep = verify_pseudomanifold(X)
     if not rep.is_pseudomanifold:
         raise WittError("input is not a pseudomanifold")

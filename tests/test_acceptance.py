@@ -23,7 +23,6 @@ from ihcalc.formulas import (
 from ihcalc.ihcore import (
     Perversity,
     ih_homology,
-    intersection_chain_complex,
     ordinary_homology,
     uct_violation_report,
 )
@@ -38,6 +37,7 @@ from ihcalc.witt import (
     witt_group_elements,
     witt_invariants,
 )
+from lattice_reference import intersection_chain_complex
 
 Z2, Z3, Z5 = PrimeField(2), PrimeField(3), PrimeField(5)
 F4, F9 = make_field(2, 2), make_field(3, 2)

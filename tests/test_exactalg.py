@@ -15,14 +15,10 @@ from ihcalc.exactalg import (
     INTEGERS,
     PrimeField,
     RATIONALS,
-    _echelon,
     _poly_mulmod,
-    _xgcd,
     SNFResult,
-    integer_kernel_basis,
     is_prime,
     is_square,
-    kernel_basis,
     kernel_image,
     make_field,
     prime_field,
@@ -30,11 +26,19 @@ from ihcalc.exactalg import (
     smallest_irreducible,
     smallest_nonsquare,
     smith_normal_form,
-    solve_columns,
 )
 from ihcalc.catalog import catalog_build
-from ihcalc.ihcore import Perversity, _ChainData, _row_block, boundary_chain
+from ihcalc.ihcore import Perversity, _ChainData, boundary_chain
 from ihcalc.simplicial import simplex_key
+from lattice_reference import (
+    _echelon,
+    _row_block,
+    _xgcd,
+    col_dicts,
+    integer_kernel_basis,
+    kernel_basis,
+    solve_columns,
+)
 
 
 def test_is_prime_small():
@@ -503,16 +507,20 @@ def _sparse_rows(A):
     return rows
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+def sparse_matrices(values):
+    """Matrices of shape up to 9x9 with at most 2(rows + cols) entries
+    drawn from `values`."""
+    return st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
         lambda shape: st.dictionaries(
             st.tuples(st.integers(0, shape[0] - 1), st.integers(0, shape[1] - 1)),
-            st.integers(-4, 4),
+            values,
             max_size=2 * (shape[0] + shape[1]),
         ).map(lambda entries: ExactMatrix(shape[0], shape[1], entries))
     )
-)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(st.integers(-4, 4)))
 def test_rank_matches_echelon_on_sparse_matrices(A):
     # entries other than +-1 leave a core over Q and over Z; mod p every
     # entry is a unit
@@ -521,6 +529,18 @@ def test_rank_matches_echelon_on_sparse_matrices(A):
         p = prime_field(coeff).char
         assert rank(A, coeff) == len(_echelon(_sparse_rows(A), p)[0])
     assert smith_normal_form(A).rank == rank(A, RATIONALS)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_matrices(st.one_of(
+    st.sampled_from([1, -1]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=6),
+)))
+def test_rank_matches_echelon_on_fraction_matrices(A):
+    # over Q the Euclid steps run on Fraction entries, where the echelon
+    # reference clears their denominators first
+    assert (rank(A, RATIONALS) == len(_echelon(_sparse_rows(A), 0)[0])
+            == dense_field_rank(A, RATIONALS))
 
 
 def dense_field_rank(A, field):
@@ -597,7 +617,7 @@ def _rows_of(A, R):
 
 def _image_of(A, vectors):
     """The matrix whose columns are A u for the dense vectors u."""
-    cols = A.col_dicts()
+    cols = col_dicts(A)
     entries = {}
     for j, u in enumerate(vectors):
         for c, x in enumerate(u):

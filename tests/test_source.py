@@ -96,3 +96,23 @@ def test_catalog_build_is_the_only_cache():
     found = [(path.name, name) for path in sorted(PACKAGE.glob("*.py"))
              for name in cached_functions(path.read_text())]
     assert found == [("catalog.py", "catalog_build")]
+
+
+def defined_names(source):
+    """Every function and class that `source` defines, methods included."""
+    return {node.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+
+
+def test_defined_name_is_detected():
+    source = "class A:\n    def col_dicts(self):\n        return 0\n\ndef f():\n    pass\n"
+    assert defined_names(source) == {"A", "col_dicts", "f"}
+
+
+def test_lattice_reference_stays_out_of_the_package():
+    # the tests hold the package against this reference; a copy of it in
+    # the package would make them compare the code with itself
+    reference = defined_names((Path(__file__).parent / "lattice_reference.py").read_text())
+    assert reference
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert not reference & defined_names(path.read_text()), path.name

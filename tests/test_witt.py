@@ -9,6 +9,7 @@ import pytest
 from ihcalc import witt
 from ihcalc.catalog import catalog_build
 from ihcalc.exactalg import (
+    INTEGERS,
     PrimeField,
     RATIONALS,
     is_prime,
@@ -401,6 +402,16 @@ class TestConditionCheck:
             one = witt_condition_check(X, coeff)
             every = witt_condition_check(X, coeff, check_all_links=True)
             assert every.checks == one.checks
+
+    @pytest.mark.parametrize("name", ["T2", "S_RP2"])
+    def test_rejects_the_integers_before_any_work(self, name, monkeypatch):
+        # T2 has no links to check and S_RP2 has one; neither gets a table
+        X = catalog_build(name)
+        calls = []
+        monkeypatch.setattr(witt, "ih_homology", lambda *a: calls.append(a))
+        with pytest.raises(WittError, match="tested over fields"):
+            witt_condition_check(X, INTEGERS)
+        assert calls == []
 
     def test_rejects_non_pseudomanifold(self):
         from ihcalc.simplicial import StratifiedComplex, build_complex
