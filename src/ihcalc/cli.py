@@ -155,14 +155,8 @@ def load_space_file(path):
 
 
 def _resolve_space(args):
-    if getattr(args, "catalog", None):
-        try:
-            X = catalog_build(args.catalog)
-        except CatalogError as e:
-            raise CliError(str(e), EXIT_PARSE)
-    else:
-        X = load_space_file(args.space)
-    if getattr(args, "normalize_triangulation", False):
+    X = catalog_build(args.catalog) if args.catalog else load_space_file(args.space)
+    if args.normalize_triangulation:
         size = sum(factorial(len(s)) for s in X.complex.facets())
         if size > _MAX_SUBDIVISION_SIMPLICES:
             raise CliError(
@@ -171,7 +165,7 @@ def _resolve_space(args):
                 EXIT_PARSE,
             )
         X = barycentric_subdivision(X)
-    if getattr(args, "strict", False):
+    if args.strict:
         rep = verify_pseudomanifold(X)
         if not rep.is_pseudomanifold:
             raise CliError("input is not a pseudomanifold", EXIT_NOT_PSEUDOMANIFOLD)
@@ -202,10 +196,7 @@ def cmd_compute(args):
     else:
         X = _resolve_space(args)
         pbar = parse_perversity(args.perversity, X.n)
-        try:
-            table = ih_homology(X, pbar, coeff)
-        except PerversityError as e:
-            raise CliError(str(e), EXIT_PERVERSITY)
+        table = ih_homology(X, pbar, coeff)
         source = f"catalog:{args.catalog}" if args.catalog else f"file:{args.space}"
     if args.json:
         doc = {

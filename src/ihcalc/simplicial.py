@@ -418,30 +418,27 @@ def _fresh_labels(used, names):
     return out
 
 
+def _join_strata(L: StratifiedComplex, names):
+    """Join of L with fresh points named after `names`, stratified with
+    the points as the 0-skeleton and the join with each skeleton of L one
+    level up."""
+    points = SimplicialComplex(
+        {0: {frozenset([v]) for v in _fresh_labels(L.complex.vertices, names)}}
+    )
+    skeleta = [points] + [_join(points, L.skeleton(i)) for i in range(L.n + 1)]
+    return StratifiedComplex(skeleta[-1], skeleta, L.n + 1)
+
+
 def cone(L: StratifiedComplex):
     """Compact cone on L, stratified with the apex as the 0-skeleton and
     the cone on each skeleton of L one level up."""
-    (apex,) = _fresh_labels(L.complex.vertices, ["apex"])
-    point = SimplicialComplex({0: {frozenset([apex])}})
-    n = L.n
-    skeleta = [point]
-    for i in range(1, n + 1):
-        skeleta.append(_join(point, L.skeleton(i - 1)))
-    skeleta.append(_join(point, L.complex))
-    return StratifiedComplex(skeleta[-1], skeleta, n + 1)
+    return _join_strata(L, ["apex"])
 
 
 def suspension(L: StratifiedComplex):
     """Suspension of L: union of two cones, stratified so the i-skeleton
     is the suspension of L's (i-1)-skeleton."""
-    north, south = _fresh_labels(L.complex.vertices, ["N", "S"])
-    poles = SimplicialComplex({0: {frozenset([north]), frozenset([south])}})
-    n = L.n
-    skeleta = [poles]
-    for i in range(1, n + 1):
-        skeleta.append(_join(poles, L.skeleton(i - 1)))
-    skeleta.append(_join(poles, L.complex))
-    return StratifiedComplex(skeleta[-1], skeleta, n + 1)
+    return _join_strata(L, ["N", "S"])
 
 
 def _staircase_facets(f1, f2, pos1, pos2):
@@ -488,18 +485,8 @@ def product(X: StratifiedComplex, M: SimplicialComplex):
     if not rep.is_pseudomanifold:
         raise SimplicialError("product factor must be a closed manifold")
     m = M.dimension
-    n = X.n
-    total = product_complex(X.complex, M)
-    empty = SimplicialComplex.empty()
-    skeleta = []
-    for k in range(n + m):
-        j = k - m
-        if j < 0 or X.skeleton(j).dimension < 0:
-            skeleta.append(empty)
-        else:
-            skeleta.append(product_complex(X.skeleton(j), M))
-    skeleta.append(total)
-    return StratifiedComplex(total, skeleta, n + m)
+    skeleta = [product_complex(X.skeleton(k - m), M) for k in range(X.n + m + 1)]
+    return StratifiedComplex(skeleta[-1], skeleta, X.n + m)
 
 
 def connected_sum(M1, M2):
@@ -593,14 +580,7 @@ def barycentric_subdivision(X):
     sd = _sd_complex(K, label)
     if not isinstance(X, StratifiedComplex):
         return sd
-    skeleta = []
-    for i in range(X.n):
-        sk = X.skeleton(i)
-        if sk.dimension < 0:
-            skeleta.append(SimplicialComplex.empty())
-        else:
-            skeleta.append(_sd_complex(sk, label))
-    skeleta.append(sd)
+    skeleta = [_sd_complex(X.skeleton(i), label) for i in range(X.n)] + [sd]
     return StratifiedComplex(sd, skeleta, X.n)
 
 

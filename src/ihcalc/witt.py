@@ -3,7 +3,10 @@
 Symmetric bilinear forms over a finite field of odd characteristic are
 classified by the pair (dimension mod 2, square class of the signed
 determinant); in characteristic 2 by the dimension mod 2 alone; over the
-rationals we expose only the signature.
+rationals we expose only the signature.  Every form fact is read off one
+congruent reduction by 1x1 and hyperbolic 2x2 pivots (Milnor and
+Husemoller, Symmetric Bilinear Forms, ch. I and III), which works in
+every characteristic: nondegeneracy, a diagonal form and the invariants.
 """
 
 from dataclasses import dataclass
@@ -71,6 +74,8 @@ class BilinearForm:
         # with lift=False the entries are taken verbatim as elements of
         # the field's internal encoding; needed for extension fields,
         # whose elements are plain ints that from_int would reduce mod p
+        if isinstance(field, Integers):
+            raise WittError("bilinear forms are taken over fields, not Z")
         self.field = field
         self.n = len(gram_rows)
         rows = []
@@ -93,27 +98,11 @@ class BilinearForm:
         return v
 
     def is_nondegenerate(self):
-        f = self.field
-        # eliminate with the field's own operations: exactalg.rank would
-        # read encoded F_{p^m} entries as integers
-        work = [row[:] for row in self.rows]
-        r = 0
-        for col in range(self.n):
-            piv = next(
-                (i for i in range(r, self.n) if work[i][col] != f.zero), None
-            )
-            if piv is None:
-                continue
-            work[r], work[piv] = work[piv], work[r]
-            inv = f.inv(work[r][col])
-            for i in range(r + 1, self.n):
-                c = f.mul(work[i][col], inv)
-                if c != f.zero:
-                    work[i] = [
-                        f.sub(a, f.mul(c, b)) for a, b in zip(work[i], work[r])
-                    ]
-            r += 1
-        return r == self.n
+        try:
+            _congruent_pivots(self)
+        except WittError:
+            return False
+        return True
 
     def evaluate(self, u, v):
         f = self.field
@@ -128,60 +117,55 @@ class BilinearForm:
         return acc
 
 
-def diagonalize(form: BilinearForm):
-    """Congruent diagonalization: returns (diagonal entries, P) with
-    P^T G P equal to the diagonal matrix.  Characteristic must not be 2.
-    Raises WittError on a degenerate form: a pivot that neither a swap
-    nor a column addition makes nonzero leaves a zero row."""
+def _congruent_pivots(form: BilinearForm):
+    """Reduce the Gram matrix by congruent Schur complements, in any
+    characteristic.  A nonzero live diagonal entry d is a 1x1 pivot; when
+    every live diagonal entry is 0, the first nonzero entry b of the first
+    live row is a hyperbolic 2x2 pivot [[0, b], [b, 0]].  Returns (the
+    d's, the b's); the form is congruent to their orthogonal sum.  Raises
+    WittError on a degenerate form: a live row that is all zero."""
     f = form.field
-    if getattr(f, "p", 0) == 2:
-        raise WittError("diagonalization needs odd characteristic")
-    n = form.n
     G = [row[:] for row in form.rows]
-    P = [[f.one if i == j else f.zero for j in range(n)] for i in range(n)]
+    live = list(range(form.n))
+    ds, bs = [], []
+    while live:
+        k = next((i for i in live if G[i][i] != f.zero), None)
+        if k is not None:
+            live.remove(k)
+            ds.append(G[k][k])
+            dinv = f.inv(G[k][k])
+            for i in live:
+                c = f.mul(G[i][k], dinv)
+                if c != f.zero:
+                    for j in live:
+                        G[i][j] = f.sub(G[i][j], f.mul(c, G[k][j]))
+            continue
+        k = live[0]
+        j0 = next((j for j in live if G[k][j] != f.zero), None)
+        if j0 is None:
+            raise WittError("form is degenerate")
+        live.remove(k)
+        live.remove(j0)
+        bs.append(G[k][j0])
+        binv = f.inv(G[k][j0])
+        for i in live:
+            u, v = f.mul(G[i][k], binv), f.mul(G[i][j0], binv)
+            for j in live:
+                t = f.add(f.mul(u, G[j0][j]), f.mul(v, G[k][j]))
+                G[i][j] = f.sub(G[i][j], t)
+    return ds, bs
 
-    def add_col(dst, src, c):
-        # column operation followed by the matching row operation keeps
-        # G congruent; P records the accumulated column operations.
-        for i in range(n):
-            G[i][dst] = f.add(G[i][dst], f.mul(c, G[i][src]))
-        for j in range(n):
-            G[dst][j] = f.add(G[dst][j], f.mul(c, G[src][j]))
-        for i in range(n):
-            P[i][dst] = f.add(P[i][dst], f.mul(c, P[i][src]))
 
-    def swap_col(a, b):
-        for i in range(n):
-            G[i][a], G[i][b] = G[i][b], G[i][a]
-        for j in range(n):
-            G[a][j], G[b][j] = G[b][j], G[a][j]
-        for i in range(n):
-            P[i][a], P[i][b] = P[i][b], P[i][a]
-
-    for k in range(n):
-        if G[k][k] == f.zero:
-            pivot = None
-            for j in range(k + 1, n):
-                if G[j][j] != f.zero:
-                    pivot = j
-                    break
-            if pivot is not None:
-                # a swap cannot cancel, unlike adding the pivot column
-                swap_col(k, pivot)
-            else:
-                for j in range(k + 1, n):
-                    if G[k][j] != f.zero:
-                        add_col(k, j, f.one)
-                        break
-                else:
-                    raise WittError("form is degenerate")
-        d = G[k][k]
-        dinv = f.inv(d)
-        for j in range(k + 1, n):
-            c = f.neg(f.mul(G[k][j], dinv))
-            if c != f.zero:
-                add_col(j, k, c)
-    return [G[i][i] for i in range(n)], P
+def diagonalize(form: BilinearForm):
+    """Diagonal entries of a form congruent to this one, read off the
+    pivots of the one congruent reduction: each 1x1 pivot d is kept and
+    each hyperbolic pivot b becomes <2b, -2b>.  Characteristic must not
+    be 2.  Raises WittError on a degenerate form."""
+    f = form.field
+    if f.char == 2:
+        raise WittError("diagonalization needs odd characteristic")
+    ds, bs = _congruent_pivots(form)
+    return ds + [x for b in bs for x in (f.add(b, b), f.neg(f.add(b, b)))]
 
 
 @dataclass(frozen=True)
@@ -219,28 +203,22 @@ def _square_class(a, field):
 
 
 def witt_invariants(form: BilinearForm) -> WittClass:
-    f = form.field
-    label = f.label
-    n = form.n
+    f, n = form.field, form.n
+    ds, bs = _congruent_pivots(form)
     if isinstance(f, Rationals):
-        if n == 0:
-            return WittClass(label, signature=0)
-        diag, _ = diagonalize(form)
-        sig = sum(1 if d > 0 else -1 for d in diag)
-        return WittClass(label, signature=sig)
-    if f.p == 2:
-        if not form.is_nondegenerate():
-            raise WittError("form is degenerate")
-        return WittClass(label, dim0=n % 2)
-    if n == 0:
-        return WittClass(label, dim0=0, dpm="square")
-    diag, _ = diagonalize(form)
+        # a hyperbolic plane has signature 0
+        return WittClass(f.label, signature=sum(1 if d > 0 else -1 for d in ds))
+    if f.char == 2:
+        return WittClass(f.label, dim0=n % 2)
+    # det = prod(d) * prod(-b^2) exactly: the reduction is a congruence
+    # by a matrix of determinant +-1
     det = f.one
-    for d in diag:
+    for d in ds:
         det = f.mul(det, d)
-    sign_exp = (n * (n - 1) // 2) % 2
-    signed = f.neg(det) if sign_exp else det
-    return WittClass(label, dim0=n % 2, dpm=_square_class(signed, f))
+    for b in bs:
+        det = f.mul(det, f.neg(f.mul(b, b)))
+    signed = f.neg(det) if (n * (n - 1) // 2) % 2 else det
+    return WittClass(f.label, dim0=n % 2, dpm=_square_class(signed, f))
 
 
 def _class_mul(a, b):
@@ -262,8 +240,9 @@ def witt_class_add(a: WittClass, b: WittClass) -> WittClass:
 
 
 def _minus_one_class(label):
-    field = _class_field(label)
-    return _square_class(field.neg(field.one), field)
+    # for odd q, -1 is a square in F_q exactly when q = 1 mod 4; the
+    # field is built without its tables
+    return "square" if _class_field(label).order % 4 == 1 else "nonsquare"
 
 
 def _class_field(label):
@@ -274,12 +253,7 @@ def _class_field(label):
 
 
 def witt_identity(field):
-    label = field.label
-    if isinstance(field, Rationals):
-        return WittClass(label, signature=0)
-    if field.p == 2:
-        return WittClass(label, dim0=0)
-    return WittClass(label, dim0=0, dpm="square")
+    return witt_invariants(BilinearForm([], field))
 
 
 @dataclass(frozen=True)
@@ -292,6 +266,8 @@ class WittGroupDescr:
 
 def witt_group(field) -> WittGroupDescr:
     label = field.label
+    if isinstance(field, Integers):
+        raise WittError("Witt groups are taken over fields, not Z")
     if isinstance(field, Rationals):
         return WittGroupDescr(
             label, "Z-signature", (((1,),),), AbelianGroup(free_rank=1)
@@ -310,7 +286,9 @@ def witt_group(field) -> WittGroupDescr:
 def witt_group_elements(field):
     """All Witt classes over a finite field, in a deterministic order."""
     label = field.label
-    if field.p == 2:
+    if not field.char:
+        raise WittError(f"no finite field for {label}")
+    if field.char == 2:
         return [WittClass(label, dim0=e) for e in (0, 1)]
     return [
         WittClass(label, dim0=e, dpm=f)
@@ -350,8 +328,6 @@ def restriction_map(a: WittClass, m: int) -> WittClass:
     if p == 2:
         return WittClass(ext.label, dim0=a.dim0)
     rep = diagonal_representative(a)
-    if rep.n == 0:
-        return witt_identity(ext)
     return witt_invariants(BilinearForm(rep.rows, ext))
 
 
@@ -490,7 +466,7 @@ def witt_class_of_catalog_space(name, field) -> WittClass:
         raise WittError(f"no pairing data recorded for {name!r}")
     data = _CATALOG_GRAMS[name]
     if data == "nonsquare-generator":
-        if isinstance(field, Rationals) or field.p == 2:
+        if field.char % 2 == 0:
             raise WittError("nonsquare generator needs an odd finite field")
         s = smallest_nonsquare(field)
         return witt_invariants(BilinearForm([[s]], field))

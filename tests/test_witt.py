@@ -10,6 +10,7 @@ from ihcalc import witt
 from ihcalc.catalog import catalog_build
 from ihcalc.exactalg import (
     INTEGERS,
+    FiniteField,
     PrimeField,
     RATIONALS,
     is_prime,
@@ -49,6 +50,72 @@ def diag_form(entries, field):
     return BilinearForm(rows, field)
 
 
+def echelon_reference(form):
+    """(nondegenerate, determinant) of the Gram matrix from a row echelon
+    in the field's own operations, independent of the congruent
+    reduction in `witt`."""
+    f, n = form.field, form.n
+    work = [row[:] for row in form.rows]
+    det = f.one
+    r = 0
+    for col in range(n):
+        piv = next((i for i in range(r, n) if work[i][col] != f.zero), None)
+        if piv is None:
+            continue
+        if piv != r:
+            work[r], work[piv] = work[piv], work[r]
+            det = f.neg(det)
+        det = f.mul(det, work[r][col])
+        inv = f.inv(work[r][col])
+        for i in range(r + 1, n):
+            c = f.mul(work[i][col], inv)
+            if c != f.zero:
+                work[i] = [f.sub(a, f.mul(c, b)) for a, b in zip(work[i], work[r])]
+        r += 1
+    return (True, det) if r == n else (False, f.zero)
+
+
+def check_against_reference(form):
+    """The verdicts of is_nondegenerate, diagonalize and witt_invariants,
+    and the determinant class, against `echelon_reference`."""
+    f, n = form.field, form.n
+    ok, det = echelon_reference(form)
+    assert form.is_nondegenerate() == ok
+    if not ok:
+        with pytest.raises(WittError, match="degenerate"):
+            witt_invariants(form)
+        if f.char != 2:
+            with pytest.raises(WittError, match="degenerate"):
+                diagonalize(form)
+        return
+    cls = witt_invariants(form)
+    if f.char == 0:
+        # det has the sign (-1)^(number of negative entries of a diagonal)
+        assert (det > 0) == ((n - cls.signature) // 2 % 2 == 0)
+    elif f.char != 2:
+        signed = f.neg(det) if n * (n - 1) // 2 % 2 else det
+        assert cls.dpm == ("square" if is_square(signed, f) else "nonsquare")
+        prod = f.one
+        for d in diagonalize(form):
+            prod = f.mul(prod, d)
+        assert is_square(f.mul(prod, det), f)
+
+
+def random_symmetric(rng, field, n, zero_diagonal=False):
+    """Random symmetric Gram rows in the field's own encoding."""
+    if field.char == 0:
+        draw = lambda: field.from_int(rng.randrange(-2, 3))
+    else:
+        draw = lambda: rng.randrange(field.order)
+    rows = [[draw() for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+        if zero_diagonal:
+            rows[i][i] = field.zero
+    return BilinearForm(rows, field, lift=False)
+
+
 def order_of(cls, field):
     acc = cls
     for k in range(1, 5):
@@ -69,7 +136,7 @@ class TestAbelianGroup:
 class TestDiagonalize:
     def test_hyperbolic_plane(self):
         form = BilinearForm([[0, 1], [1, 0]], Z3)
-        diag, _ = diagonalize(form)
+        diag = diagonalize(form)
         assert len(diag) == 2
         assert all(d != Z3.zero for d in diag)
 
@@ -89,7 +156,7 @@ class TestDiagonalize:
                     form = BilinearForm(rows, field)
                     if form.is_nondegenerate():
                         break
-                diag, _ = diagonalize(form)
+                diag = diagonalize(form)
                 n = len(diag)
                 again = BilinearForm(
                     [
@@ -114,20 +181,56 @@ class TestDiagonalize:
 
     def test_diagonalize_verdict_is_nondegeneracy(self):
         rng = random.Random(1)
-        for field in (Z3, Z5, F9, RATIONALS):
+        for field in (Z2, F4, Z3, Z5, F9, RATIONALS):
             for _ in range(150):
                 n = rng.randint(1, 4)
                 rows = [[rng.randrange(-2, 3) for _ in range(n)] for _ in range(n)]
                 for i in range(n):
                     for j in range(i):
                         rows[i][j] = rows[j][i]
-                form = BilinearForm(rows, field)
-                try:
-                    diagonalize(form)
-                    verdict = True
-                except WittError:
-                    verdict = False
-                assert verdict == form.is_nondegenerate()
+                check_against_reference(BilinearForm(rows, field))
+
+    def test_zero_diagonal_forms_take_hyperbolic_pivots(self):
+        # alternating forms in characteristic 2, and zero diagonals in
+        # odd characteristic, reach the hyperbolic 2x2 pivot
+        rng = random.Random(2)
+        for field in (Z2, F4, Z3, F9, RATIONALS):
+            for _ in range(100):
+                n = rng.randint(0, 5)
+                check_against_reference(random_symmetric(rng, field, n, True))
+        for field in (Z5, RATIONALS):
+            form = BilinearForm([[0, 1, 1], [1, 0, 1], [1, 1, 0]], field)
+            check_against_reference(form)
+            assert witt._congruent_pivots(form)[1]
+        # eigenvalues 2, -1, -1
+        assert witt_invariants(form).signature == -1
+        # det 2, signed -2 = 3, a nonsquare mod 5
+        cls = witt_invariants(BilinearForm([[0, 1, 1], [1, 0, 1], [1, 1, 0]], Z5))
+        assert (cls.dim0, cls.dpm) == (1, "nonsquare")
+
+    def test_diagonal_of_hyperbolic_plane(self):
+        # [[0, b], [b, 0]] is <2b, -2b>
+        assert diagonalize(BilinearForm([[0, 3], [3, 0]], RATIONALS)) == [6, -6]
+
+    @pytest.mark.parametrize("field", [Z2, F4])
+    def test_diagonalize_refuses_characteristic_two(self, field):
+        with pytest.raises(WittError, match="odd characteristic"):
+            diagonalize(BilinearForm([[1]], field))
+
+class TestRingsThatAreNotFiniteFields:
+    @pytest.mark.parametrize("call", [
+        lambda: witt_invariants(BilinearForm([[1]], INTEGERS)),
+        lambda: witt_identity(INTEGERS),
+        lambda: witt_group(INTEGERS),
+        lambda: witt_group_elements(RATIONALS),
+        lambda: witt_group_elements(INTEGERS),
+        lambda: isotropic_vector(BilinearForm([[1]], INTEGERS)),
+        lambda: witt_class_of_catalog_space("Uhat_nonsquare", INTEGERS),
+    ], ids=["invariants-Z", "identity-Z", "group-Z", "elements-Q",
+            "elements-Z", "isotropic-Z", "catalog-nonsquare-Z"])
+    def test_refused(self, call):
+        with pytest.raises(WittError):
+            call()
 
 
 class TestInvariants:
@@ -207,6 +310,37 @@ class TestGroupLaw:
                                 diag_form(list(ea) + list(eb), field)
                             )
                             assert witt_class_add(a, b) == s
+
+    def test_additivity_vs_block_sum_f27(self):
+        # a seeded sample over an extension field with q = 3 mod 4
+        F27 = make_field(3, 3)
+        rng = random.Random(27)
+
+        def form(entries):
+            n = len(entries)
+            return BilinearForm(
+                [[entries[i] if i == j else 0 for j in range(n)] for i in range(n)],
+                F27,
+                lift=False,
+            )
+
+        for _ in range(60):
+            ea = [rng.randrange(1, 27) for _ in range(rng.randint(1, 2))]
+            eb = [rng.randrange(1, 27) for _ in range(rng.randint(1, 2))]
+            a, b = witt_invariants(form(ea)), witt_invariants(form(eb))
+            assert witt_class_add(a, b) == witt_invariants(form(ea + eb))
+
+    @pytest.mark.parametrize("label, want", [("F3^10", "square"),
+                                             ("F3^3", "nonsquare")])
+    def test_odd_plus_odd_builds_no_field_tables(self, label, want, monkeypatch):
+        # <1> + <1> = <1, 1>, whose signed determinant is -1: a square
+        # exactly when q = 1 mod 4
+        def refuse(self):
+            raise AssertionError("field tables built")
+
+        monkeypatch.setattr(FiniteField, "_exp", property(refuse))
+        one = WittClass(label, dim0=1, dpm="square")
+        assert witt_class_add(one, one) == WittClass(label, dim0=0, dpm=want)
 
     def test_congruence_invariance(self):
         # invariants must not depend on the basis
