@@ -10,9 +10,10 @@ derived space (cone, suspension, connected sum, product) builds from
 process: `catalog_build` is the package's only cache.  A formula
 entry's build is its table function, which `catalog_table` calls.
 
-Every triangulated entry validates itself at build time (homology,
-pseudomanifold flags, and quotient certificates for the glued spaces),
-so downstream computations never run on a miscooked triangulation.
+Every triangulated entry validates itself at build time (homology and
+pseudomanifold flags), and every glued space goes through
+`simplicial.quotient`, which certifies the gluing itself, so downstream
+computations never run on a miscooked triangulation.
 """
 
 from dataclasses import dataclass, field
@@ -24,6 +25,7 @@ from .formulas import (
     compactified_bundle_formula,
     kunneth,
     suspension_formula,
+    _field_table,
 )
 from .ihcore import IHTable, Perversity, ih_homology, ordinary_homology
 from .simplicial import (
@@ -36,7 +38,6 @@ from .simplicial import (
     product_complex,
     quotient,
     relabel_canonical,
-    simplex_key,
     suspension,
     verify_pseudomanifold,
     _sd_complex,
@@ -131,127 +132,48 @@ def _build_genus2():
 # --- quotient constructions ---------------------------------------------------
 
 
+def _glue(vertices, f):
+    """{v: its image} for vertices of a raw subdivision, under the map f
+    of the original labels."""
+    def lift(y):
+        return frozenset(map(lift, y)) if isinstance(y, frozenset) else f(y)
+    return {v: lift(v) for v in vertices}
+
+
 def _lens_space(p):
     """L(p,1) from a bipyramid over a p-gon: the top boundary cap is
-    glued to the bottom cap with a one-step twist.  The identification
-    only becomes simplicial after subdividing twice, and the build
-    certifies that the quotient identifies exactly the intended orbits."""
+    glued to the bottom cap with a one-step twist, which becomes
+    simplicial after two subdivisions."""
     N, S = "N", "S"
-    domain = SimplicialComplex.from_maximal(
-        [frozenset([N, S, i, (i + 1) % p]) for i in range(p)]
-    )
-    topcap = SimplicialComplex.from_maximal(
-        [frozenset([N, i, (i + 1) % p]) for i in range(p)]
-    )
-    bottomcap = SimplicialComplex.from_maximal(
-        [frozenset([S, i, (i + 1) % p]) for i in range(p)]
-    )
-    equator = SimplicialComplex.from_maximal(
-        [frozenset([i, (i + 1) % p]) for i in range(p)]
-    )
-    K, T, Bc, E = domain, topcap, bottomcap, equator
+    K = SimplicialComplex.from_maximal([{N, S, i, (i + 1) % p} for i in range(p)])
+    top = SimplicialComplex.from_maximal([{N, i, (i + 1) % p} for i in range(p)])
     for _ in range(2):
-        K, T, Bc, E = _sd_raw(K), _sd_raw(T), _sd_raw(Bc), _sd_raw(E)
-
-    def glue(v):
-        return frozenset(
-            frozenset(S if y == N else (y + 1) % p for y in s) for s in v
-        )
-
-    parent = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for v in T.vertices:
-        a, b = find(v), find(glue(v))
-        if a != b:
-            if simplex_key([a]) > simplex_key([b]):
-                a, b = b, a
-            parent[b] = a
-    identify = {v: find(v) for v in K.vertices}
-    Q = quotient(K, identify)
-    # orbit certificate: interior simplices stay distinct, cap simplices
-    # merge in pairs, equator orbits have size p
-    name = f"L{p}_1"
-    for d in range(4):
-        total = len(K.faces(d))
-        top = len(T.faces(d))
-        bot = len(Bc.faces(d))
-        eq = len(E.faces(d))
-        expected = (total - top - bot + eq) + (top - eq) + eq // p
-        _require(eq % p == 0, name, "equator orbit count")
-        _require(len(Q.faces(d)) == expected, name,
-                 f"quotient face count in dimension {d}")
-    return _certify(_simplify(Q), name, (1, 0, 0, 1), ((), (p,), (), ()))
+        K, top = _sd_raw(K), _sd_raw(top)
+    Q = quotient(K, _glue(top.vertices, lambda y: S if y == N else (y + 1) % p))
+    return _certify(_simplify(Q), f"L{p}_1", (1, 0, 0, 1), ((), (p,), (), ()))
 
 
 def _build_L2():
     """RP3 as the antipodal quotient of the join of two squares (a
     16-tetrahedron 3-sphere); one subdivision makes the free involution
-    simplicial, certified by the exact halving of the face counts."""
-    A = [("a", i) for i in range(4)]
-    B = [("b", i) for i in range(4)]
+    simplicial."""
+    def square(t):
+        return [frozenset([(t, i), (t, (i + 1) % 4)]) for i in range(4)]
 
-    def cyc(vs):
-        return [frozenset([vs[i], vs[(i + 1) % 4]]) for i in range(4)]
-
-    S3 = SimplicialComplex.from_maximal(
-        [e1 | e2 for e1 in cyc(A) for e2 in cyc(B)]
-    )
-    K = _sd_raw(S3)
-
-    def anti(v):
-        return frozenset((t, (i + 2) % 4) for (t, i) in v)
-
-    identify = {}
-    for v in K.vertices:
-        w = anti(v)
-        identify[v] = min([v, w], key=lambda s: simplex_key([s]))
-    Q = quotient(K, identify)
-    for d in range(4):
-        _require(len(K.faces(d)) == 2 * len(Q.faces(d)), "L2_1",
-                 f"face count does not halve in dimension {d}")
+    K = _sd_raw(SimplicialComplex.from_maximal(
+        [e1 | e2 for e1 in square("a") for e2 in square("b")]))
+    Q = quotient(K, _glue(K.vertices, lambda y: (y[0], (y[1] + 2) % 4)))
     return _certify(_simplify(Q), "L2_1", (1, 0, 0, 1), ((), (2,), (), ()))
 
 
 def _build_CP2():
     """CP2 as the quotient of S2 x S2 by the factor swap (the symmetric
-    square of the sphere).  One subdivision makes the involution
-    simplicial; the fixed diagonal makes this a branched quotient, and
-    the certificate counts fixed simplices explicitly."""
-    S2a = build_complex(
-        [frozenset({("a", i), ("a", j), ("a", k)})
-         for i, j, k in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
-    )
-    S2b = build_complex(
-        [frozenset({("b", i), ("b", j), ("b", k)})
-         for i, j, k in [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]]
-    )
-    P = product_complex(S2a, S2b)
-    K = _sd_raw(P)
-
-    def swap(v):
-        return frozenset(
-            (("a", vb[1]), ("b", va[1])) for (va, vb) in v
-        )
-
-    identify = {}
-    for v in K.vertices:
-        w = swap(v)
-        identify[v] = min([v, w], key=lambda s: simplex_key([s]))
-    Q = quotient(K, identify)
-    fixed_vs = {v for v in K.vertices if swap(v) == v}
-    for d in range(5):
-        total = len(K.faces(d))
-        fix = sum(1 for s in K.faces(d) if s <= fixed_vs)
-        _require((total + fix) % 2 == 0, "CP2", "orbit parity")
-        _require(len(Q.faces(d)) == (total + fix) // 2, "CP2",
-                 f"orbit count in dimension {d}")
+    square of the sphere), branched along the fixed diagonal.  One
+    subdivision makes the involution simplicial."""
+    S2 = catalog_build("S2").complex
+    a, b = (S2.relabel({i: (t, i) for i in range(4)}) for t in "ab")
+    K = _sd_raw(product_complex(a, b))
+    Q = quotient(K, _glue(K.vertices, lambda y: (("a", y[1][1]), ("b", y[0][1]))))
     return _certify(_simplify(Q), "CP2", (1, 0, 1, 0, 1), ((), (), (), (), ()))
 
 
@@ -269,17 +191,13 @@ def _build_J():
 # --- formula-level entries ----------------------------------------------------
 
 
-def _base_table(dims, label):
-    return IHTable(coeff_label=label, n=len(dims) - 1, dims=tuple(dims))
-
-
 def _table_Uhat(pbar, coeff_label, e=3):
-    base = _base_table((1, 0, 1), coeff_label)
+    base = _field_table(coeff_label, (1, 0, 1))
     return compactified_bundle_formula(base, 2, e, pbar)
 
 
 def _table_Y(pbar, coeff_label, e=3):
-    base = _base_table((1, 2, 1), coeff_label)
+    base = _field_table(coeff_label, (1, 2, 1))
     return compactified_bundle_formula(base, 2, e, pbar)
 
 
@@ -289,14 +207,14 @@ def _table_X8_SJ(pbar, coeff_label):
     sj = catalog_build("SJ_L3")
     sub = Perversity(pbar.values[:4], 5)
     sj_table = ih_homology(sj, sub, coeff_from_label(coeff_label))
-    man = _base_table((1, 1, 1, 1), coeff_label)
+    man = _field_table(coeff_label, (1, 1, 1, 1))
     return kunneth(sj_table, man)
 
 
 def _table_X8_SY(pbar, coeff_label, e=3):
     y = _table_Y(Perversity.lower_middle(4), coeff_label, e)
     sy = suspension_formula(y, 4, Perversity(pbar.values[:4], 5))
-    man = _base_table((1, 1, 1, 1), coeff_label)
+    man = _field_table(coeff_label, (1, 1, 1, 1))
     return kunneth(sy, man)
 
 

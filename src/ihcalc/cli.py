@@ -143,8 +143,11 @@ def load_space_file(path):
         if n > _MAX_DIMENSION:
             raise ValueError(f"dimension {n} is above {_MAX_DIMENSION}")
         maximal = _simplices(doc["maximal_simplices"], n)
+        skeleta = doc.get("skeleta")
+        if not isinstance(skeleta, (dict, type(None))):
+            raise ValueError("skeleta must be an object")
         skel_map = {}
-        for key, gens in (doc.get("skeleta") or {}).items():
+        for key, gens in (skeleta or {}).items():
             i = int(key)
             if not 0 <= i <= n:
                 raise ValueError(f"skeleton key {key!r} is outside 0..{n}")

@@ -584,22 +584,75 @@ def barycentric_subdivision(X):
     return StratifiedComplex(sd, skeleta, X.n)
 
 
-def quotient(K, identify):
-    """Quotient by a vertex identification map.
+def quotient(K, glue):
+    """Quotient of K by the gluing v ~ glue[v], `glue` a map on some
+    vertices of K; each class is named by its least vertex in canonical
+    order.
 
-    `identify` sends some vertices to their replacements; unlisted
-    vertices are fixed.  Raises if any maximal simplex collapses, which
-    signals the triangulation is too coarse for this gluing.
+    The quotient certifies itself, raising SimplicialError unless glue is
+    an injective map into the vertices of K that sends each simplex on
+    its domain to a simplex, no simplex collapses, and in each dimension
+    d the quotient has exactly one d-simplex per class of s ~ glue(s).
+    A gluing refused only by the last two needs a finer triangulation.
     """
-    facets = []
-    for t in K.facets():
-        img = frozenset(identify.get(v, v) for v in t)
-        if len(img) != len(t):
+    own = {v: v for v in K.vertices}
+    if not own.keys() >= {*glue, *glue.values()}:
+        raise SimplicialError("glue is not a map between vertices of K")
+    # K's own label objects, so that simplices compare labels by identity
+    g = {own[v]: own[w] for v, w in glue.items()}
+    if len(set(g.values())) != len(g):
+        raise SimplicialError("glue is not injective")
+
+    # s ~ glue(s) splits the d-simplices into paths and cycles, so the
+    # classes number N - (simplices moved) + (cycles of length >= 2)
+    domain, image = frozenset(g), g.__getitem__
+    classes = {}
+    for d, ss in K.by_dim.items():
+        simplex = {s: s for s in ss}.get
+        step = {}
+        for s in ss:
+            if s <= domain:
+                t = simplex(frozenset(map(image, s)))
+                if t is None:
+                    raise SimplicialError(
+                        f"glue sends {sorted_vertices(s)} to a non-simplex"
+                    )
+                if t is not s:
+                    step[s] = t
+        moved, cycles = len(step), 0
+        while step:
+            s, t = step.popitem()
+            while t in step:
+                t = step.pop(t)
+            cycles += t is s
+        classes[d] = len(ss) - moved + cycles
+
+    parent = dict(own)
+
+    def root(v):
+        while parent[v] is not v:
+            v = parent[v]
+        return v
+
+    for v, w in g.items():
+        a, b = sorted([root(v), root(w)], key=_canon_key)
+        parent[b] = a
+    cls = {v: root(v) for v in own}.__getitem__
+    # a simplex collapses exactly when one of its edges does
+    for e in K.faces(1):
+        if len(set(map(cls, e))) == 1:
             raise SimplicialError(
-                f"quotient collapses {sorted_vertices(t)}; subdivide first"
+                f"quotient collapses {sorted_vertices(e)}; subdivide first"
             )
-        facets.append(img)
-    return SimplicialComplex.from_maximal(facets)
+    Q = SimplicialComplex(
+        {d: {frozenset(map(cls, s)) for s in ss} for d, ss in K.by_dim.items()}
+    )
+    for d, count in classes.items():
+        if len(Q.faces(d)) != count:
+            raise SimplicialError(
+                f"quotient merges unglued {d}-simplices; subdivide first"
+            )
+    return Q
 
 
 def stratum_components(X: StratifiedComplex, d):

@@ -318,17 +318,17 @@ def diagonal_representative(a: WittClass):
 
 
 def restriction_map(a: WittClass, m: int) -> WittClass:
-    """Reinterpret a Witt class over Z_p in the degree-m extension field
-    by re-evaluating the invariants of a diagonal representative."""
+    """The image of a Witt class over Z_p in the degree-m extension field.
+    For odd p an element of Z_p* is a square in F_{p^m} exactly when it
+    is a square in Z_p or m is even, so the dimension parity stays and
+    the determinant class becomes a square when m is even."""
     base = _class_field(a.field_label)
     if not isinstance(base, PrimeField):
         raise WittError("restriction starts from a prime field")
-    p = base.p
-    ext = make_field(p, m)
-    if p == 2:
+    ext = make_field(base.p, m)
+    if base.p == 2:
         return WittClass(ext.label, dim0=a.dim0)
-    rep = diagonal_representative(a)
-    return witt_invariants(BilinearForm(rep.rows, ext))
+    return WittClass(ext.label, dim0=a.dim0, dpm="square" if m % 2 == 0 else a.dpm)
 
 
 def isotropic_vector(form: BilinearForm):
@@ -397,8 +397,6 @@ def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
         if codim % 2 == 0:
             continue
         k = (codim - 1) // 2
-        if k <= 0:
-            continue
         for comp in stratum_components(X, d):
             reps = comp if check_all_links else comp[:1]
             dims = []

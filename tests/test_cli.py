@@ -112,6 +112,15 @@ class TestExitCodes:
         assert f"skeleton key '{key}'" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("skeleta", [[[0]], "01", 5])
+    def test_skeleta_not_an_object(self, tmp_path, capsys, skeleta):
+        p = tmp_path / "skel.json"
+        p.write_text(json.dumps({**SUSP_S1, "skeleta": skeleta}))
+        assert main(["compute", "--space", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "skeleta must be an object" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize(
         "doc",
         [
@@ -416,12 +425,15 @@ SPACE_DOC = st.one_of(
                 st.lists(SIMPLEX, max_size=2),
                 max_size=3,
             )
+            | st.lists(SIMPLEX, max_size=2)
+            | st.text(max_size=3)
+            | st.integers(-1, 3)
         },
     ),
     st.recursive(
         st.none() | st.booleans() | st.integers(-3, 9) | st.floats() | st.text(max_size=3),
         lambda inner: st.lists(inner, max_size=3)
-        | st.dictionaries(st.sampled_from(["dimension", "maximal_simplices"]), inner),
+        | st.dictionaries(st.sampled_from(["dimension", "maximal_simplices", "skeleta"]), inner),
         max_leaves=6,
     ),
 )

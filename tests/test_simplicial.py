@@ -351,6 +351,178 @@ class TestQuotientAndStrata:
         assert stratum_components(X, 0) == []
 
 
+class _Glued(Exception):
+    """Stops a catalog build at its quotient; args are (K, glue)."""
+
+
+def _depth(K):
+    """How many raw subdivisions K's vertex labels have been through."""
+    v, n = next(iter(K.vertices)), 0
+    while isinstance(v, frozenset):
+        v, n = next(iter(v)), n + 1
+    return n
+
+
+def glued(name, monkeypatch, rounds=None):
+    """(K, glue) that a glued catalog build hands to `quotient`; with
+    `rounds`, the build subdivides at most that many times."""
+    def stop(K, glue):
+        raise _Glued(K, glue)
+
+    monkeypatch.setattr(catalog, "quotient", stop)
+    if rounds is not None:
+        sd = catalog._sd_raw
+        monkeypatch.setattr(catalog, "_sd_raw", lambda K: sd(K) if _depth(K) < rounds else K)
+    with pytest.raises(_Glued) as info:
+        catalog.catalog_entry(name).build()
+    return info.value.args
+
+
+def orbit_counts(name, K, glue):
+    """The closed-form face counts that the glued builds once certified
+    their quotients by: lens spaces keep interior simplices, merge cap
+    simplices in pairs and equator simplices in orbits of size p; the
+    free involution of L2_1 halves every count; the swap of CP2 fixes
+    the simplices on its diagonal and pairs the rest."""
+    dims = range(K.dimension + 1)
+    if name == "L2_1":
+        return [len(K.faces(d)) // 2 for d in dims]
+    if name == "CP2":
+        fixed = {v for v, w in glue.items() if v == w}
+        return [(len(K.faces(d)) + sum(s <= fixed for s in K.faces(d))) // 2 for d in dims]
+    p = int(name[1])
+    caps = [SimplicialComplex.from_maximal(gens) for gens in (
+        [{"N", i, (i + 1) % p} for i in range(p)],
+        [{"S", i, (i + 1) % p} for i in range(p)],
+        [{i, (i + 1) % p} for i in range(p)],
+    )]
+    for _ in range(2):
+        caps = [catalog._sd_raw(C) for C in caps]
+    top, bottom, equator = caps
+    out = []
+    for d in dims:
+        t, b, e = len(top.faces(d)), len(bottom.faces(d)), len(equator.faces(d))
+        assert e % p == 0
+        out.append((len(K.faces(d)) - t - b + e) + (t - e) + e // p)
+    return out
+
+
+def reference_quotient(K, glue):
+    """The quotient by union-find over the vertices and over all
+    simplices, raising SimplicialError unless glue is an injective
+    vertex map, simplicial on its domain, whose quotient identifies
+    exactly the classes of s ~ glue(s)."""
+    if not set(glue) | set(glue.values()) <= K.vertices:
+        raise SimplicialError("not a vertex map")
+    if len(set(glue.values())) != len(glue):
+        raise SimplicialError("not injective")
+    parent = {}
+
+    def find(x):
+        while parent.setdefault(x, x) != x:
+            x = parent[x]
+        return x
+
+    def union(a, b):
+        a, b = sorted([find(a), find(b)], key=simplex_key)
+        parent[b] = a
+
+    for v, w in glue.items():
+        union(frozenset([v]), frozenset([w]))
+    for s in K.all_simplices():
+        if len(s) > 1 and s <= glue.keys():
+            t = frozenset(glue[v] for v in s)
+            if t not in K:
+                raise SimplicialError("non-simplex")
+            union(s, t)
+    name = {v: next(iter(find(frozenset([v])))) for v in K.vertices}
+    images = {}
+    for s in K.all_simplices():
+        img = frozenset(name[v] for v in s)
+        if len(img) != len(s):
+            raise SimplicialError("collapse")
+        images.setdefault(img, set()).add(find(s))
+    if any(len(roots) > 1 for roots in images.values()):
+        raise SimplicialError("merge")
+    return SimplicialComplex.from_maximal(images)
+
+
+class TestQuotientCertificate:
+    def test_target_not_a_vertex(self):
+        with pytest.raises(SimplicialError, match="not a map between vertices"):
+            quotient(sphere2(), {0: 9})
+
+    def test_glue_not_injective(self):
+        with pytest.raises(SimplicialError, match="not injective"):
+            quotient(sphere2(), {0: 2, 1: 2})
+
+    def test_simplex_sent_to_a_non_simplex(self):
+        path = build_complex([[0, 1], [1, 2], [2, 3]])
+        with pytest.raises(SimplicialError, match=r"sends \[0, 1\] to a non-simplex"):
+            quotient(path, {0: 1, 1: 3})
+
+    def test_facet_collapse(self):
+        with pytest.raises(SimplicialError, match="collapses"):
+            quotient(build_complex([[0, 1, 2]]), {1: 0})
+
+    def test_unglued_simplices_merged(self):
+        # gluing opposite corners of a square also glues its sides
+        square = build_complex([[0, 1], [1, 2], [2, 3], [0, 3]])
+        with pytest.raises(SimplicialError, match="merges unglued 1-simplices"):
+            quotient(square, {0: 2})
+
+    def test_rotation_by_a_cycle(self):
+        # a 9-gon turned by three steps: edges move in cycles of three
+        nine = build_complex([[i, (i + 1) % 9] for i in range(9)])
+        Q = quotient(nine, {i: (i + 3) % 9 for i in range(9)})
+        assert Q == build_complex([[0, 1], [1, 2], [0, 2]])
+
+    @pytest.mark.parametrize("name, rounds, refusal", [
+        ("L3_1", 0, "collapses"),
+        ("L5_1", 0, "collapses"),
+        ("L3_1", 1, "merges unglued 3-simplices"),
+        ("L5_1", 1, "merges unglued 3-simplices"),
+        ("L2_1", 0, "merges unglued 3-simplices"),
+        ("CP2", 0, "merges unglued 4-simplices"),
+    ])
+    def test_too_coarse_gluing_refused(self, name, rounds, refusal, monkeypatch):
+        K, glue = glued(name, monkeypatch, rounds)
+        with pytest.raises(SimplicialError, match=refusal):
+            quotient(K, glue)
+
+    @pytest.mark.parametrize("name", ["L2_1", "L3_1", "L5_1", "CP2"])
+    def test_face_counts_equal_the_orbit_counts(self, name, monkeypatch):
+        K, glue = glued(name, monkeypatch)
+        counts = quotient(K, glue).f_vector()
+        assert list(counts) == orbit_counts(name, K, glue)
+        if name == "CP2":
+            assert counts == (333, 3870, 12180, 14400, 5760)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
+                 min_size=1, max_size=8),
+        st.permutations(range(7)),
+        st.sets(st.integers(0, 6)),
+        st.booleans(),
+    )
+    def test_random_gluings_match_the_reference(self, generators, perm, domain, symmetric):
+        generators = set(generators)
+        if symmetric:
+            # closed under perm, of order at most 12, perm is simplicial on K
+            for _ in range(12):
+                generators |= {frozenset(perm[v] for v in s) for s in generators}
+        K = SimplicialComplex.from_maximal(generators)
+        glue = {v: perm[v] for v in domain & K.vertices if perm[v] in K.vertices}
+        try:
+            want = reference_quotient(K, glue)
+        except SimplicialError:
+            with pytest.raises(SimplicialError):
+                quotient(K, glue)
+        else:
+            assert quotient(K, glue) == want
+
+
 class TestContraction:
     def test_contract_sphere_to_boundary_simplex(self):
         sd = barycentric_subdivision(sphere2())
