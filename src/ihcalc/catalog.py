@@ -11,7 +11,8 @@ process: `catalog_build` is the package's only cache.  A formula
 entry's build is its table function, which `catalog_table` calls.
 
 Every triangulated entry validates itself at build time (homology and
-pseudomanifold flags), and every glued space goes through
+pseudomanifold flags), and every glued space (the lens spaces, RP3, CP2,
+the connected sums genus2 and CP2#CP2, and Klein) goes through
 `simplicial.quotient`, which certifies the gluing itself, so downstream
 computations never run on a miscooked triangulation.
 """
@@ -109,18 +110,16 @@ def _build_T2():
 
 
 def _build_Klein():
+    """The 3 x 3 grid on S1 x [0, 3], its ends glued by a reflection; (i, j)
+    is 3i + j, and 9 + i on the top circle, so the quotient is on 0..8."""
     def v(i, j):
-        if j == 3:
-            return ((-i) % 3, 0)
-        return (i % 3, j)
-
+        return 3 * (i % 3) + j if j < 3 else 9 + i % 3
     tris = []
     for i in range(3):
         for j in range(3):
             a, b, c, d = v(i, j), v(i + 1, j), v(i, j + 1), v(i + 1, j + 1)
-            tris.append(frozenset([a, b, c]))
-            tris.append(frozenset([b, c, d]))
-    K, _ = relabel_canonical(build_complex(tris))
+            tris += [{a, b, c}, {b, c, d}]
+    K = quotient(build_complex(tris), {9 + i: 3 * (-i % 3) for i in range(3)})
     return _certify(K, "Klein", (1, 1, 0), ((), (2,), ()), orientable=False)
 
 

@@ -128,16 +128,21 @@ def _simplices(gens, i):
     return out
 
 
+def _read_json(path, what):
+    """The JSON document in `path`; exits 2 if it cannot be read or decoded."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as e:
+        raise CliError(f"cannot read {what} file {path}: {e}", EXIT_PARSE)
+
+
 def load_space_file(path):
     """JSON document with dimension, maximal_simplices, and optional
     skeleta (map from skeleton index to generating simplices).  Every
     simplex is checked against the dimension it is given for, and the
     dimension against _MAX_DIMENSION, before any face is listed."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read space file {path}: {e}", EXIT_PARSE)
+    doc = _read_json(path, "space")
     try:
         n = _json_int(doc["dimension"])
         if n > _MAX_DIMENSION:
@@ -298,11 +303,7 @@ def load_gram_matrix(path_or_spec, field):
         return BilinearForm(
             [[1 if i == j else 0 for j in range(n)] for i in range(n)], field
         )
-    try:
-        with open(path_or_spec) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
-        raise CliError(f"cannot read matrix file {path_or_spec}: {e}", EXIT_PARSE)
+    doc = _read_json(path_or_spec, "matrix")
     try:
         n = _json_int(doc["dimension"])
         flat = [_parse_gram_entry(e, field) for e in doc["entries"]]

@@ -10,8 +10,8 @@ import warnings
 from math import gcd
 
 from .exactalg import CoefficientError, coeff_from_label
-from .ihcore import IHTable, Perversity, PerversityError
-from .witt import AbelianGroup, bordism_group
+from .ihcore import AbelianGroup, IHTable, Perversity, PerversityError
+from .witt import bordism_group
 
 
 class FormulaError(ValueError):

@@ -212,6 +212,34 @@ class _ChainData:
 
 
 @dataclass(frozen=True)
+class AbelianGroup:
+    """Finitely generated abelian group: free rank plus cyclic torsion
+    summands (orders sorted ascending)."""
+
+    free_rank: int = 0
+    torsion: tuple = ()
+
+    def __add__(self, other):
+        return AbelianGroup(
+            self.free_rank + other.free_rank,
+            tuple(sorted(self.torsion + other.torsion)),
+        )
+
+    @property
+    def is_trivial(self):
+        return self.free_rank == 0 and not self.torsion
+
+    def describe(self):
+        parts = []
+        if self.free_rank == 1:
+            parts.append("Z")
+        elif self.free_rank > 1:
+            parts.append(f"Z^{self.free_rank}")
+        parts.extend(f"Z/{t}" for t in self.torsion)
+        return " + ".join(parts) if parts else "0"
+
+
+@dataclass(frozen=True)
 class IHTable:
     """Homology table in degrees 0..n.
 
@@ -251,14 +279,7 @@ class IHTable:
 
     def group_description(self, i):
         if self.is_integral:
-            parts = []
-            r = self.rank(i)
-            if r == 1:
-                parts.append("Z")
-            elif r > 1:
-                parts.append(f"Z^{r}")
-            parts.extend(f"Z/{t}" for t in self.torsion_at(i))
-            return " + ".join(parts) if parts else "0"
+            return AbelianGroup(self.rank(i), self.torsion_at(i)).describe()
         d = self.dim(i)
         if d == 0:
             return "0"

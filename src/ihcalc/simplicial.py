@@ -155,13 +155,15 @@ class SimplicialComplex:
         return SimplicialComplex(by_dim)
 
     def relabel(self, mapping):
+        """The image under the vertex map `mapping`; refuses any simplex
+        whose image loses a vertex (by_dim need not be downward closed)."""
+        image = mapping.__getitem__
         by_dim = {}
         for d, ss in self.by_dim.items():
-            for s in ss:
-                img = frozenset(mapping[v] for v in s)
-                if len(img) != len(s):
-                    raise SimplicialError("relabeling collapses a simplex")
-                by_dim.setdefault(d, set()).add(img)
+            by_dim[d] = images = {frozenset(map(image, s)) for s in ss}
+            if min(map(len, images)) <= d:
+                s = next(s for s in ss if len(frozenset(map(image, s))) <= d)
+                raise SimplicialError(f"vertex map collapses {sorted_vertices(s)}")
         return SimplicialComplex(by_dim)
 
     def __repr__(self):
@@ -174,20 +176,17 @@ def build_complex(maximal_simplices):
     return SimplicialComplex.from_maximal(maximal_simplices)
 
 
-def canonical_vertex_order(K):
-    return sorted(K.vertices, key=_canon_key)
-
-
 def vertex_ranks(K):
     """{vertex: its position in the canonical label order}."""
-    return {v: k for k, v in enumerate(canonical_vertex_order(K))}
+    return {v: k for k, v in enumerate(sorted(K.vertices, key=_canon_key))}
 
 
 def ranked_simplices(simplices, rank):
     """(rank tuple, simplex) pairs in `simplex_key` order.  A rank tuple
     lists the simplex's vertex ranks ascending; such tuples compare like
     `simplex_key`, since ranks follow the canonical label order."""
-    return sorted((tuple(sorted([rank[v] for v in s])), s) for s in simplices)
+    rank_of = rank.__getitem__
+    return sorted([(tuple(sorted(map(rank_of, s))), s) for s in simplices])
 
 
 def relabel_canonical(K):
@@ -492,51 +491,38 @@ def product(X: StratifiedComplex, M: SimplicialComplex):
 def connected_sum(M1, M2):
     """Connected sum of two closed oriented triangulated manifolds.
 
-    One facet is removed from each (the canonically lowest) and the
-    boundary spheres are glued by matching vertices in ascending label
-    order, flipped by one transposition when the induced boundary
-    orientations fail to cancel.
+    The vertices of M1 and M2 are tagged (0, v) and (1, v), one facet is
+    removed from each (the canonically lowest), and `quotient` glues the
+    boundary spheres by matching vertices in ascending label order,
+    flipped by one transposition when the induced boundary orientations
+    fail to cancel.  The canonical relabelling lists M1's vertices first,
+    then M2's unglued ones, each in its own order.
     """
     if M1.dimension != M2.dimension:
         raise SimplicialError("dimension mismatch")
     n = M1.dimension
-    signs = []
-    for M in (M1, M2):
+    parts = []
+    for t, M in enumerate((M1, M2)):
         rep = verify_pseudomanifold(StratifiedComplex.trivial(M))
         if not rep.is_pseudomanifold:
             raise SimplicialError("connected sum requires closed manifolds")
         if not rep.orientable:
             raise SimplicialError("connected sum requires orientable summands")
-        signs.append(rep.signs)
-    s1, s2 = signs
-    F1 = min(M1.faces(n), key=simplex_key)
-    F2 = min(M2.faces(n), key=simplex_key)
-    b1 = sorted_vertices(F1)
-    b2 = sorted_vertices(F2)
+        F = min(M.faces(n), key=simplex_key)
+        parts.append((t, M, F, rep.signs[F]))
+    (_, _, F1, sign1), (_, _, F2, sign2) = parts
+    b1, b2 = sorted_vertices(F1), sorted_vertices(F2)
     # Glued orientations cancel when the two removed facets carry opposite
     # signs under the ascending-order identification.
-    flip = s1[F1] == s2[F2]
-    if flip:
+    if sign1 == sign2:
         b2 = b2[:-2] + [b2[-1], b2[-2]]
-    fresh = 0
-    used = set(M1.vertices)
-    mapping = {}
-    for u, v in zip(b2, b1):
-        mapping[u] = v
-    for v in canonical_vertex_order(M2):
-        if v in mapping:
-            continue
-        while ("cs", fresh) in used:
-            fresh += 1
-        mapping[v] = ("cs", fresh)
-        fresh += 1
-    facets = [t for t in M1.faces(n) if t != F1]
-    for t in M2.faces(n):
-        if t == F2:
-            continue
-        facets.append(frozenset(mapping[v] for v in t))
-    K, _ = relabel_canonical(SimplicialComplex.from_maximal(facets))
-    return K
+    # the disjoint union of the tagged summands, less F1 and F2
+    union = SimplicialComplex({d: {
+        frozenset((t, v) for v in s)
+        for t, M, F, _ in parts for s in M.faces(d) if s != F
+    } for d in range(n + 1)})
+    glue = {(1, u): (0, v) for u, v in zip(b2, b1)}
+    return relabel_canonical(quotient(union, glue))[0]
 
 
 def simplicial_link(X: StratifiedComplex, s):
@@ -637,16 +623,7 @@ def quotient(K, glue):
     for v, w in g.items():
         a, b = sorted([root(v), root(w)], key=_canon_key)
         parent[b] = a
-    cls = {v: root(v) for v in own}.__getitem__
-    # a simplex collapses exactly when one of its edges does
-    for e in K.faces(1):
-        if len(set(map(cls, e))) == 1:
-            raise SimplicialError(
-                f"quotient collapses {sorted_vertices(e)}; subdivide first"
-            )
-    Q = SimplicialComplex(
-        {d: {frozenset(map(cls, s)) for s in ss} for d, ss in K.by_dim.items()}
-    )
+    Q = K.relabel({v: root(v) for v in own})
     for d, count in classes.items():
         if len(Q.faces(d)) != count:
             raise SimplicialError(

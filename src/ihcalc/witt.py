@@ -22,7 +22,7 @@ from .exactalg import (
     make_field,
     smallest_nonsquare,
 )
-from .ihcore import Perversity, ih_homology
+from .ihcore import AbelianGroup, Perversity, ih_homology
 from .simplicial import (
     StratifiedComplex,
     simplicial_link,
@@ -34,34 +34,6 @@ from .simplicial import (
 
 class WittError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class AbelianGroup:
-    """Finitely generated abelian group: free rank plus cyclic torsion
-    summands (orders sorted ascending)."""
-
-    free_rank: int = 0
-    torsion: tuple = ()
-
-    def __add__(self, other):
-        return AbelianGroup(
-            self.free_rank + other.free_rank,
-            tuple(sorted(self.torsion + other.torsion)),
-        )
-
-    @property
-    def is_trivial(self):
-        return self.free_rank == 0 and not self.torsion
-
-    def describe(self):
-        parts = []
-        if self.free_rank == 1:
-            parts.append("Z")
-        elif self.free_rank > 1:
-            parts.append(f"Z^{self.free_rank}")
-        parts.extend(f"Z/{t}" for t in self.torsion)
-        return " + ".join(parts) if parts else "0"
 
 
 ZERO_GROUP = AbelianGroup()

@@ -149,3 +149,23 @@ def test_relative_change_of_the_medians(tmp_path, capsys):
     # medians 3.06 and 2.06
     assert "  -32.7%  B lower in 3/3  ok" in wall
 
+
+ENV_STUB = """import json, os
+prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+with open("env.log", "a") as fh:
+    fh.write(json.dumps([os.environ.get("PYTHONDONTWRITEBYTECODE"), prefix,
+                         os.listdir(prefix) if prefix else None]) + "\\n")
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
+"""
+
+
+def test_runs_use_no_bytecode_cache(tmp_path, capsys):
+    a = stub_checkout(tmp_path / "a", 3.0)
+    (tmp_path / "a" / "perfbench" / "run.py").write_text(ENV_STUB)
+    assert ab_bench.main([a, a, "--workload", "cli-cold", "--pairs", "2"]) == 0
+    runs = [json.loads(line) for line in (tmp_path / "a" / "env.log").read_text().splitlines()]
+    assert len(runs) == 4
+    # each run gets its own cache directory, empty when the run starts
+    assert all(flag == "1" and prefix and listing == [] for flag, prefix, listing in runs)
+    assert len({prefix for _, prefix, _ in runs}) == 4

@@ -354,6 +354,28 @@ class TestWittClass:
         assert cli.load_gram_matrix("I0", PrimeField(3)) == 0
 
 
+# files that json.load refuses with something other than JSONDecodeError
+UNDECODABLE = {
+    "long-numeral": b"[" + b"9" * 5000 + b"]",
+    "utf16-bom": b"\xff\xfe" + '{"dimension": 1}'.encode("utf-16-le"),
+    "deep-nesting": b"[" * 200_000,
+}
+
+
+@pytest.mark.parametrize("payload", UNDECODABLE.values(), ids=UNDECODABLE)
+@pytest.mark.parametrize("command", [
+    ["compute", "--space"],
+    ["witt-class", "--field", "Q", "--matrix"],
+], ids=["compute", "witt-class"])
+def test_undecodable_file_exits_2(tmp_path, capsys, command, payload):
+    p = tmp_path / "doc.json"
+    p.write_bytes(payload)
+    assert main(command + [str(p)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot read") and "Traceback" not in err
+
+
 class TestBordism:
     def test_point_groups(self, capsys):
         assert main(["bordism", "--n", "4", "--p", "3", "--json"]) == 0

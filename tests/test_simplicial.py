@@ -70,6 +70,12 @@ class TestComplexBasics:
         assert K2.f_vector() == K.f_vector()
         assert all(isinstance(v, int) for v in K2.vertices)
 
+    def test_relabel_names_the_simplex_it_collapses(self):
+        # a lone 2-simplex without its edges: no edge shows the collapse
+        K = SimplicialComplex({2: {frozenset([0, 1, 2])}})
+        with pytest.raises(SimplicialError, match=r"collapses \[0, 1, 2\]"):
+            K.relabel({0: 0, 1: 0, 2: 2})
+
 
 def brute_force_facets(K):
     """The definition: simplices that are a proper face of no simplex."""
@@ -278,6 +284,14 @@ class TestConnectedSum:
         A = sphere2()
         B = sphere2()
         assert connected_sum(A, B) == connected_sum(A, B)
+
+    @pytest.mark.parametrize("name", ["S2", "T2"])
+    def test_independent_of_how_the_labels_sort(self, name):
+        # the sum must not depend on how M's labels sort against the
+        # labels it makes for itself
+        M = catalog_build(name).complex
+        Z = M.relabel({v: ("z", v) for v in M.vertices})
+        assert connected_sum(Z, Z) == connected_sum(M, M)
 
 
 class TestLinks:

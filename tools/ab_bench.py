@@ -17,15 +17,20 @@ verdict against its `bound`: `worse` when B's median is worse than
 A's by more than the bound, `unresolved` when A's quartile spread is
 wider than the bound and not every B run beats every A run, and `ok`
 otherwise.  A run that fails, reports failed operations or reports a
-wrong answer stops the script with exit code 1.
+wrong answer stops the script with exit code 1.  Every run reads and
+writes no bytecode cache (PYTHONDONTWRITEBYTECODE=1 and a fresh, empty
+PYTHONPYCACHEPREFIX), so the import time that setup_s measures does not
+depend on what earlier runs left in either checkout.
 Uses only the standard library.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
@@ -33,7 +38,9 @@ def run_once(checkout, workload, seed, seconds):
     """The result object (the last line of run.py's output) of one run."""
     cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    with tempfile.TemporaryDirectory() as cache:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
