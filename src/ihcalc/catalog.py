@@ -81,8 +81,8 @@ def _certify(K, name, ranks, torsion, orientable=True):
 
 def _simplify(Q):
     """A glued complex relabelled, edge-contracted, and relabelled again."""
-    QK, _ = relabel_canonical(Q)
-    C, _ = relabel_canonical(contract_edges(QK))
+    QK = relabel_canonical(Q)
+    C = relabel_canonical(contract_edges(QK))
     return C
 
 
@@ -105,7 +105,7 @@ def _build_RP2():
 
 def _build_T2():
     S1 = _build_S1()
-    K, _ = relabel_canonical(product_complex(S1, S1))
+    K = relabel_canonical(product_complex(S1, S1))
     return _certify(K, "T2", (1, 2, 1), ((), (), ()))
 
 
@@ -183,7 +183,7 @@ def _build_CP2_sum():
 
 def _build_J():
     L = catalog_build("L3_1").complex
-    K, _ = relabel_canonical(product_complex(L, _build_S1()))
+    K = relabel_canonical(product_complex(L, _build_S1()))
     return _certify(K, "J_L3", (1, 1, 0, 1, 1), ((), (3,), (3,), (), ()))
 
 

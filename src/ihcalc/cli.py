@@ -176,7 +176,7 @@ def _resolve_space(args):
     if args.strict:
         rep = verify_pseudomanifold(X)
         if not rep.is_pseudomanifold:
-            raise CliError("input is not a pseudomanifold", EXIT_NOT_PSEUDOMANIFOLD)
+            raise CliError(rep.failure_message(), EXIT_NOT_PSEUDOMANIFOLD)
     return X
 
 

@@ -7,10 +7,9 @@ reach spaces too large to triangulate.
 """
 
 import warnings
-from math import gcd
 
 from .exactalg import CoefficientError, coeff_from_label
-from .ihcore import AbelianGroup, IHTable, Perversity, PerversityError
+from .ihcore import AbelianGroup, IHTable, Perversity, PerversityError, uct_cyclic
 from .witt import bordism_group
 
 
@@ -112,22 +111,6 @@ def kunneth(x_table: IHTable, m_table: IHTable) -> IHTable:
     return _field_table(x_table.coeff_label, dims)
 
 
-def _tensor_with_cyclic(table: IHTable, q, r):
-    """Number of Z/q summands in H_r(X) tensor Z/q plus Tor(H_(r-1), Z/q),
-    reported as cyclic orders (UCT with coefficients in Z/q)."""
-    out = []
-    out.extend([q] * table.rank(r))
-    for t in table.torsion_at(r):
-        g = gcd(t, q)
-        if g > 1:
-            out.append(g)
-    for t in table.torsion_at(r - 1):
-        g = gcd(t, q)
-        if g > 1:
-            out.append(g)
-    return out
-
-
 def homology_with_coefficients(table: IHTable, group: AbelianGroup, r):
     """H_r(X; A) for A a finitely generated abelian group, evaluated by
     universal coefficients from the integral table."""
@@ -141,7 +124,7 @@ def homology_with_coefficients(table: IHTable, group: AbelianGroup, r):
         )
         acc = acc + AbelianGroup(free, tors)
     for q in group.torsion:
-        acc = acc + AbelianGroup(0, tuple(sorted(_tensor_with_cyclic(table, q, r))))
+        acc = acc + AbelianGroup(0, tuple(sorted(uct_cyclic(table, q, r))))
     return acc
 
 

@@ -10,20 +10,23 @@ Field extension is flat, so the complex over F_{p^m} is the complex over
 Z_p tensored up: F_{p^m} tables are computed in the prime field Z_p and
 keep their own label.
 
-There is one chain-assembly path and one table path.  `_ranked_faces`
+There is one chain-assembly path and one table path.  `_ChainData`
 writes each simplex as the ascending tuple of its vertex ranks in the
-canonical label order, which sort in `simplex_key` order, and `_boundary`
-takes the faces t[:j] + t[j+1:] of each t; `_ChainData` filters out the
-allowable simplices and lists in bad[i] the rows of D[i] on the others.
+canonical label order, which sort in `simplex_key` order, filters out
+the allowable simplices and lists in bad[i] the rows of D[i] on the
+others; `_boundary` takes the faces t[:j] + t[j+1:] of each t.
 `_homology_table` makes one `exactalg.kernel_image` call per degree,
 top down: column operations on D[i] clear its bad rows, and what is left
 spans the boundaries of the allowable chains, ranked over a field or
 put in Smith normal form over Z; the faces D[i + 1] pivoted on are left
-out of D[i] (clearing).  `ordinary_homology` passes no bad rows.
+out of D[i] (clearing).  `ordinary_homology` is the table of the trivial
+stratification, where every simplex is allowable.  The Witt and local
+torsion conditions both read `link_tables`, one table per distinct link.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from math import gcd
 
 from .exactalg import (
     ExactMatrix,
@@ -166,12 +169,6 @@ def boundary_chain(s):
     return [(s - {v}, (-1) ** j) for j, v in enumerate(vs)]
 
 
-def _ranked_faces(K, n):
-    """(rank tuple, simplex) pairs of K, per degree 0..n in `simplex_key` order."""
-    rank = vertex_ranks(K)
-    return [ranked_simplices(K.faces(i), rank) for i in range(n + 1)]
-
-
 def _boundary(simplices, faces):
     """Boundary matrix from the span of the rank tuples `simplices` to
     the span of the rank tuples `faces`, which hold every face
@@ -200,15 +197,20 @@ class _ChainData:
     def __init__(self, X, pbar):
         n = self.n = X.n
         bounds = _skeleton_vertex_sets(X)
-        faces = _ranked_faces(X.complex, n)
-        ok = [[_is_allowable(s, i, pbar, bounds) for _, s in faces[i]]
-              for i in range(n + 1)]
-        self.A = [[s for (_, s), a in zip(f, o) if a] for f, o in zip(faces, ok)]
-        self.D, self.bad = [None], [None]
-        for i in range(1, n + 1):
-            allowed = [t for (t, _), a in zip(faces[i], ok[i]) if a]
-            self.D.append(_boundary(allowed, [t for t, _ in faces[i - 1]]))
-            self.bad.append([r for r, a in enumerate(ok[i - 1]) if not a])
+        rank = vertex_ranks(X.complex)
+        self.A, self.D, self.bad = [], [None], [None]
+        # degree by degree, so that one degree's (rank tuple, simplex)
+        # pairs are alive at a time: fewer collector passes on big spaces
+        for i in range(n + 1):
+            faces = ranked_simplices(X.complex.faces(i), rank)
+            ok = [_is_allowable(s, i, pbar, bounds) for _, s in faces]
+            self.A.append([s for (_, s), a in zip(faces, ok) if a])
+            if i:
+                allowed = [t for (t, _), a in zip(faces, ok) if a]
+                self.D.append(_boundary(allowed, below))
+                self.bad.append(bad)
+            below = [t for t, _ in faces]
+            bad = [r for r, a in enumerate(ok) if not a]
 
 
 @dataclass(frozen=True)
@@ -349,13 +351,18 @@ def ih_homology(X: StratifiedComplex, pbar: Perversity, coeff) -> IHTable:
 
 
 def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:
-    """Simplicial homology from the full chain complex; the oracle the
-    intersection machinery is checked against on manifolds."""
+    """Simplicial homology: the table of the trivial stratification, on
+    which every simplex is allowable; the oracle the intersection
+    machinery is checked against on manifolds."""
     n = max(C.dimension, 0)
-    rank = vertex_ranks(C)
-    faces = [[t for t, _ in ranked_simplices(C.faces(i), rank)] for i in range(n + 1)]
-    D = [None] + [_boundary(faces[i], faces[i - 1]) for i in range(1, n + 1)]
-    return _homology_table(coeff, [len(f) for f in faces], D, [()] * (n + 1))
+    return ih_homology(StratifiedComplex.trivial(C, n), Perversity.zero(n), coeff)
+
+
+def uct_cyclic(table: IHTable, q, r):
+    """Orders of the cyclic summands of H_r tensor Z/q plus
+    Tor(H_(r-1), Z/q), by universal coefficients from an integral table."""
+    tors = table.torsion_at(r) + table.torsion_at(r - 1)
+    return [q] * table.rank(r) + [g for g in (gcd(t, q) for t in tors) if g > 1]
 
 
 @dataclass
@@ -377,9 +384,7 @@ def uct_violation_report(X, pbar, p):
     modp = ih_homology(X, pbar, PrimeField(p))
     violations = []
     for i in range(X.n + 1):
-        tp = sum(1 for t in integral.torsion_at(i) if t % p == 0)
-        tp_prev = sum(1 for t in integral.torsion_at(i - 1) if t % p == 0)
-        predicted = integral.rank(i) + tp + tp_prev
+        predicted = len(uct_cyclic(integral, p, i))
         actual = modp.dim(i)
         if predicted != actual:
             violations.append((i, predicted, actual))
@@ -398,19 +403,31 @@ class TorsionFreeReport:
         return [e for e in self.entries if e[3]]
 
 
+def link_tables(X, pbar, coeff, codims, every_link=False):
+    """For each component of each stratum whose codimension c is in
+    `codims`, in that order, yields (c, component, tables): the tables of
+    the links of its first simplex, or of every simplex when `every_link`,
+    each at `pbar` cut to the link's dimension.  Equal links, such as the
+    two poles of a suspension, share one table."""
+    seen = {}
+    for c in codims:
+        for comp in stratum_components(X, X.n - c):
+            tables = []
+            for s in comp if every_link else comp[:1]:
+                link = simplicial_link(X, s)
+                if link not in seen:
+                    sub = Perversity(pbar.values[: max(link.n - 1, 0)], link.n)
+                    seen[link] = ih_homology(link, sub, coeff)
+                tables.append(seen[link])
+            yield c, comp, tables
+
+
 def torsion_free_check(X, pbar):
     """Local torsion condition: for each singular stratum component of
     codimension c, the integral intersection homology of its link must be
     torsion free in degree c - 2 - p(c)."""
-    entries = []
-    n = X.n
-    for d in range(0, n - 1):
-        c = n - d
-        for comp in stratum_components(X, d):
-            rep = comp[0]
-            link = simplicial_link(X, rep)
-            deg = c - 2 - pbar(c)
-            sub = Perversity(pbar.values[: max(link.n - 1, 0)], link.n)
-            table = ih_homology(link, sub, INTEGERS)
-            entries.append((d, rep, deg, table.torsion_at(deg)))
-    return TorsionFreeReport(entries=entries)
+    return TorsionFreeReport(entries=[
+        (X.n - c, comp[0], deg, table.torsion_at(deg))
+        for c, comp, (table,) in link_tables(X, pbar, INTEGERS, range(X.n, 1, -1))
+        for deg in [c - 2 - pbar(c)]
+    ])

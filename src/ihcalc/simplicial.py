@@ -190,9 +190,9 @@ def ranked_simplices(simplices, rank):
 
 
 def relabel_canonical(K):
-    """Relabel vertices to 0..V-1 in canonical label order."""
-    mapping = vertex_ranks(K)
-    return K.relabel(mapping), mapping
+    """Relabel vertices to 0..V-1 in canonical label order; the mapping
+    is `vertex_ranks(K)`."""
+    return K.relabel(vertex_ranks(K))
 
 
 class StratifiedComplex:
@@ -298,6 +298,17 @@ class PseudomanifoldReport:
             and self.face_regularity
             and self.no_codim_one
         )
+
+    def failure_message(self):
+        """Why the input is not a pseudomanifold: the first of `failures`
+        (which precede orientation failures), else the codimension-one stratum."""
+        broken = " and ".join(name for name, ok in (
+            ("dimensional homogeneity", self.dimensional_homogeneity),
+            ("face regularity", self.face_regularity)) if not ok)
+        if not broken:
+            return "input is not a pseudomanifold: X^{n-1} != X^{n-2}"
+        where = f" at {sorted_vertices(self.failures[0])}" if self.failures else ""
+        return f"input is not a pseudomanifold: failed {broken}{where}"
 
 
 def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
@@ -522,7 +533,7 @@ def connected_sum(M1, M2):
         for t, M, F, _ in parts for s in M.faces(d) if s != F
     } for d in range(n + 1)})
     glue = {(1, u): (0, v) for u, v in zip(b2, b1)}
-    return relabel_canonical(quotient(union, glue))[0]
+    return relabel_canonical(quotient(union, glue))
 
 
 def simplicial_link(X: StratifiedComplex, s):

@@ -22,14 +22,8 @@ from .exactalg import (
     make_field,
     smallest_nonsquare,
 )
-from .ihcore import AbelianGroup, Perversity, ih_homology
-from .simplicial import (
-    StratifiedComplex,
-    simplicial_link,
-    sorted_vertices,
-    stratum_components,
-    verify_pseudomanifold,
-)
+from .ihcore import AbelianGroup, Perversity, link_tables
+from .simplicial import StratifiedComplex, sorted_vertices, verify_pseudomanifold
 
 
 class WittError(ValueError):
@@ -353,42 +347,32 @@ class WittReport:
 
 
 def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
-    """Middle-perversity vanishing at the middle degree of every link of
-    every odd-codimension stratum component (codimension at least 3);
-    equal links, such as the two poles of a suspension, share one table."""
+    """Middle-perversity vanishing in degree (c - 1) / 2 of the links, from
+    `ihcore.link_tables`, of every stratum component of odd codimension
+    c >= 3, walked with the stratum dimension ascending.  Raises
+    WittError, naming what fails, on a non-pseudomanifold."""
     if isinstance(coeff, Integers):
         raise WittError("the Witt condition is tested over fields")
     rep = verify_pseudomanifold(X)
     if not rep.is_pseudomanifold:
-        raise WittError("input is not a pseudomanifold")
+        raise WittError(rep.failure_message())
     n = X.n
     checks = []
-    tables = {}
-    for d in range(0, n - 2):
-        codim = n - d
-        if codim % 2 == 0:
-            continue
-        k = (codim - 1) // 2
-        for comp in stratum_components(X, d):
-            reps = comp if check_all_links else comp[:1]
-            dims = []
-            for s in reps:
-                link = simplicial_link(X, s)
-                if link not in tables:
-                    mbar = Perversity.lower_middle(link.n)
-                    tables[link] = ih_homology(link, mbar, coeff)
-                dims.append(tables[link].dim(k))
-            first = dims[0]
-            checks.append(
-                LinkCheck(
-                    stratum_dim=d,
-                    middle_degree=k,
-                    representative=tuple(sorted_vertices(comp[0])),
-                    link_dim_checked=first,
-                    passes=all(v == 0 for v in dims),
-                    all_links_agree=all(v == first for v in dims),
-                )
+    odd = range(n - 1 + n % 2, 2, -2)
+    mbar = Perversity.lower_middle(n)
+    for c, comp, tables in link_tables(X, mbar, coeff, odd, check_all_links):
+        k = (c - 1) // 2
+        dims = [t.dim(k) for t in tables]
+        checks.append(
+            LinkCheck(
+                stratum_dim=n - c,
+                middle_degree=k,
+                representative=tuple(sorted_vertices(comp[0])),
+                link_dim_checked=dims[0],
+                passes=all(v == 0 for v in dims),
+                all_links_agree=all(v == dims[0] for v in dims),
             )
+        )
     return WittReport(
         coeff_label=coeff.label,
         n=n,

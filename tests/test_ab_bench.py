@@ -151,21 +151,26 @@ def test_relative_change_of_the_medians(tmp_path, capsys):
 
 
 ENV_STUB = """import json, os
-prefix = os.environ.get("PYTHONPYCACHEPREFIX")
+caches = [d for d, _, _ in os.walk("src") if os.path.basename(d) == "__pycache__"]
 with open("env.log", "a") as fh:
-    fh.write(json.dumps([os.environ.get("PYTHONDONTWRITEBYTECODE"), prefix,
-                         os.listdir(prefix) if prefix else None]) + "\\n")
+    fh.write(json.dumps([os.environ.get("PYTHONDONTWRITEBYTECODE"),
+                         os.environ.get("PYTHONPYCACHEPREFIX"), caches]) + "\\n")
 print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
                   "metrics": {"wall_s": {"value": 1.0, "unit": "s"}}}))
 """
 
 
-def test_runs_use_no_bytecode_cache(tmp_path, capsys):
+def test_runs_use_no_bytecode_cache(tmp_path, capsys, monkeypatch):
     a = stub_checkout(tmp_path / "a", 3.0)
     (tmp_path / "a" / "perfbench" / "run.py").write_text(ENV_STUB)
+    for d in ("src/pkg/__pycache__", "src/pkg/sub/__pycache__"):
+        (tmp_path / "a" / d).mkdir(parents=True)
+        (tmp_path / "a" / d / "mod.cpython-311.pyc").write_bytes(b"stale")
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "prefix"))
     assert ab_bench.main([a, a, "--workload", "cli-cold", "--pairs", "2"]) == 0
+    assert "removed 2 __pycache__ directories" in capsys.readouterr().out
     runs = [json.loads(line) for line in (tmp_path / "a" / "env.log").read_text().splitlines()]
     assert len(runs) == 4
-    # each run gets its own cache directory, empty when the run starts
-    assert all(flag == "1" and prefix and listing == [] for flag, prefix, listing in runs)
-    assert len({prefix for _, prefix, _ in runs}) == 4
+    # no bytecode is written, no cache prefix hides the standard
+    # library's cache, and src/ holds no cache when each run starts
+    assert runs == [["1", None, []]] * 4

@@ -83,6 +83,8 @@ class TestExitCodes:
     def test_strict_non_pseudomanifold(self, bad_space_file, capsys):
         r = main(["compute", "--space", bad_space_file, "--strict"])
         assert r == 4
+        # the free edge is the first failure verify_pseudomanifold lists
+        assert "at [4, 5]" in capsys.readouterr().err
         # without --strict the computation proceeds
         assert main(["compute", "--space", bad_space_file]) == 0
 

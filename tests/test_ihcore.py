@@ -507,6 +507,24 @@ class TestTorsionFree:
         r = torsion_free_check(X, Perversity.lower_middle(2))
         assert r.entries == [] and r.passes
 
+    @pytest.mark.parametrize("build, torsion", [
+        (lambda: catalog_build("S_RP2"), (2,)),
+        (lambda: suspension(catalog_build("L5_1")), (5,)),
+    ], ids=["S_RP2", "S_L5_1"])
+    def test_one_table_per_distinct_link(self, build, torsion, monkeypatch):
+        # the two poles have equal links, so one table serves both entries
+        X = build()
+        calls = []
+        real = ihcore.ih_homology
+        monkeypatch.setattr(
+            ihcore, "ih_homology", lambda *a: calls.append(a) or real(*a)
+        )
+        r = torsion_free_check(X, Perversity.lower_middle(X.n))
+        assert len(calls) == 1
+        assert r.entries == [
+            (0, frozenset([pole]), 1, torsion) for pole in ("N", "S")
+        ]
+
 
 class TestStructuralInvariants:
     def test_boundary_squares_to_zero(self):

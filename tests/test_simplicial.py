@@ -66,7 +66,7 @@ class TestComplexBasics:
 
     def test_relabel_canonical_preserves_structure(self):
         K = catalog_build("T2").complex
-        K2, _ = relabel_canonical(K)
+        K2 = relabel_canonical(K)
         assert K2.f_vector() == K.f_vector()
         assert all(isinstance(v, int) for v in K2.vertices)
 
@@ -192,6 +192,7 @@ class TestVerification:
         X = StratifiedComplex.from_skeleton_map(K, {1: edge})
         rep = verify_pseudomanifold(X)
         assert not rep.no_codim_one
+        assert rep.failure_message().endswith("X^{n-1} != X^{n-2}")
 
 
 class TestConeSuspension:

@@ -17,20 +17,22 @@ verdict against its `bound`: `worse` when B's median is worse than
 A's by more than the bound, `unresolved` when A's quartile spread is
 wider than the bound and not every B run beats every A run, and `ok`
 otherwise.  A run that fails, reports failed operations or reports a
-wrong answer stops the script with exit code 1.  Every run reads and
-writes no bytecode cache (PYTHONDONTWRITEBYTECODE=1 and a fresh, empty
-PYTHONPYCACHEPREFIX), so the import time that setup_s measures does not
-depend on what earlier runs left in either checkout.
+wrong answer stops the script with exit code 1.  Before the first
+pair the script removes the __pycache__ directories under each
+checkout's src/ (caches that can be rebuilt), and every run writes no
+bytecode (PYTHONDONTWRITEBYTECODE=1), so the import time that setup_s
+measures does not depend on what earlier runs left in either checkout.
+The standard library's own bytecode cache is still read.
 Uses only the standard library.
 """
 
 import argparse
 import json
 import os
+import shutil
 import statistics
 import subprocess
 import sys
-import tempfile
 from pathlib import Path
 
 
@@ -38,9 +40,9 @@ def run_once(checkout, workload, seed, seconds):
     """The result object (the last line of run.py's output) of one run."""
     cmd = [sys.executable, str(Path(checkout) / "perfbench" / "run.py"),
            "--workload", workload, "--seed", str(seed), "--seconds", str(seconds)]
-    with tempfile.TemporaryDirectory() as cache:
-        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": cache}
-        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
+    env.pop("PYTHONPYCACHEPREFIX", None)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, env=env)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
@@ -50,6 +52,15 @@ def run_once(checkout, workload, seed, seconds):
     if not result["correct"]:
         raise RuntimeError(f"{checkout}: the run reports a wrong answer")
     return {k: v["value"] for k, v in result["metrics"].items()}
+
+
+def clear_bytecode(checkout):
+    """Remove the __pycache__ directories under the checkout's src/;
+    returns how many there were."""
+    caches = list(Path(checkout, "src").rglob("__pycache__"))
+    for d in caches:
+        shutil.rmtree(d)
+    return len(caches)
 
 
 def quartiles(values):
@@ -110,6 +121,11 @@ def main(argv=None):
     bench = json.loads((Path(args.a) / "BENCHMARK.json").read_text())
     seconds = bench["run_seconds"]
     runs = ([], [])
+    for side in sides:
+        removed = clear_bytecode(side)
+        if removed:
+            print(f"removed {removed} __pycache__ directories under "
+                  f"{Path(side, 'src')}", flush=True)
     try:
         for k in range(args.pairs):
             seed = args.seed + k
