@@ -287,7 +287,9 @@ def catalog_build(name) -> StratifiedComplex:
 
 
 def catalog_table(name, pbar, coeff_label, **kw) -> IHTable:
-    """Homology table of a formula-level catalog entry."""
+    """Homology table of a formula-level catalog entry, over a field."""
     if name not in _ENTRIES or _ENTRIES[name].kind != "formula":
         raise CatalogError(f"unknown formula entry {name!r}")
+    if coeff_label == INTEGERS.label:
+        raise CatalogError("formula entries need field coefficients")
     return _ENTRIES[name].build(pbar, coeff_label, **kw)

@@ -26,7 +26,6 @@ from .exactalg import (
 )
 from .formulas import omega_splitting
 from .ihcore import (
-    IHTable,
     Perversity,
     PerversityError,
     ih_homology,
@@ -91,25 +90,20 @@ def parse_coefficients(spec):
 
 
 def parse_perversity(spec, n):
-    """0 | m | n | t | p:v2,v3,..."""
+    """0 | m | n | t | p:v2,v3,...; an invalid perversity raises
+    PerversityError, which `main` maps to exit code 3."""
     spec = spec.strip()
+    named = {"0": Perversity.zero, "m": Perversity.lower_middle,
+             "n": Perversity.upper_middle, "t": Perversity.top}
+    if spec in named:
+        return named[spec](n)
     try:
-        if spec == "0":
-            return Perversity.zero(n)
-        if spec == "m":
-            return Perversity.lower_middle(n)
-        if spec == "n":
-            return Perversity.upper_middle(n)
-        if spec == "t":
-            return Perversity.top(n)
-        if spec.startswith("p:"):
-            values = tuple(int(v) for v in spec[2:].split(",") if v.strip())
-            return Perversity(values, n)
-    except PerversityError as e:
-        raise CliError(str(e), EXIT_PERVERSITY)
+        if not spec.startswith("p:"):
+            raise ValueError
+        values = tuple(int(v) for v in spec[2:].split(",") if v.strip())
     except ValueError:
         raise CliError(f"bad perversity spec {spec!r}", EXIT_PARSE)
-    raise CliError(f"bad perversity spec {spec!r}", EXIT_PARSE)
+    return Perversity(values, n)
 
 
 def _json_int(v):
@@ -180,11 +174,12 @@ def _resolve_space(args):
     return X
 
 
-def _table_lines(table: IHTable):
-    lines = []
-    for i in range(table.n + 1):
-        lines.append(f"  H_{i} = {table.group_description(i)}")
-    return lines
+def _emit(args, doc, lines):
+    """The one output path: `doc`, tagged with the subcommand, as JSON
+    under --json, else the text `lines`; returns exit code 0."""
+    print(json.dumps({"command": args.command, **doc}, sort_keys=True, indent=2)
+          if args.json else "\n".join(lines))
+    return 0
 
 
 def cmd_compute(args):
@@ -196,8 +191,6 @@ def cmd_compute(args):
         if flags:
             raise CliError(f"{' and '.join(flags)} need a triangulated space; "
                            f"{args.catalog} is a formula entry", EXIT_PARSE)
-        if coeff is INTEGERS:
-            raise CliError("formula entries need field coefficients", EXIT_PARSE)
         pbar = parse_perversity(args.perversity, entry.dimension)
         table = catalog_table(args.catalog, pbar, coeff.label)
         source = f"catalog:{args.catalog} (formula)"
@@ -206,72 +199,53 @@ def cmd_compute(args):
         pbar = parse_perversity(args.perversity, X.n)
         table = ih_homology(X, pbar, coeff)
         source = f"catalog:{args.catalog}" if args.catalog else f"file:{args.space}"
-    if args.json:
-        doc = {
-            "command": "compute",
-            "space": args.catalog or args.space,
-            "perversity": args.perversity,
-            "table": table.as_dict(),
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(f"intersection homology of {source}, perversity {args.perversity}, "
-              f"coefficients {table.coeff_label}")
-        for line in _table_lines(table):
-            print(line)
-    return 0
+    doc = {"space": args.catalog or args.space, "perversity": args.perversity,
+           "table": table.as_dict()}
+    lines = [f"intersection homology of {source}, perversity {args.perversity}, "
+             f"coefficients {table.coeff_label}"]
+    lines += [f"  H_{i} = {table.group_description(i)}" for i in range(table.n + 1)]
+    return _emit(args, doc, lines)
 
 
 def cmd_witt_check(args):
     X = _resolve_space(args)
     coeffs = [parse_coefficients(c) for c in args.coeff.split(",")]
-    for c in coeffs:
-        if c is INTEGERS:
-            raise CliError("the Witt condition is tested over fields", EXIT_PARSE)
-    reports = []
-    for c in coeffs:
-        try:
-            reports.append(witt_condition_check(X, c, args.check_all_links))
-        except WittError as e:
-            raise CliError(str(e), EXIT_NOT_PSEUDOMANIFOLD)
-    if args.json:
-        doc = {
-            "command": "witt-check",
-            "space": args.catalog or args.space,
-            "results": [
+    if INTEGERS in coeffs:
+        raise CliError("the Witt condition is tested over fields", EXIT_PARSE)
+    try:
+        reports = [witt_condition_check(X, c, args.check_all_links) for c in coeffs]
+    except WittError as e:
+        raise CliError(str(e), EXIT_NOT_PSEUDOMANIFOLD)
+    name = args.catalog or args.space
+    doc = {"space": name, "results": [
+        {
+            "coefficients": r.coeff_label,
+            "passes": r.passes,
+            "oriented": r.oriented,
+            "irreducible": r.irreducible,
+            "checks": [
                 {
-                    "coefficients": r.coeff_label,
-                    "passes": r.passes,
-                    "oriented": r.oriented,
-                    "irreducible": r.irreducible,
-                    "checks": [
-                        {
-                            "stratum_dim": c.stratum_dim,
-                            "middle_degree": c.middle_degree,
-                            "link_dim": c.link_dim_checked,
-                            "passes": c.passes,
-                            "all_links_agree": c.all_links_agree,
-                        }
-                        for c in r.checks
-                    ],
+                    "stratum_dim": c.stratum_dim,
+                    "middle_degree": c.middle_degree,
+                    "link_dim": c.link_dim_checked,
+                    "passes": c.passes,
+                    "all_links_agree": c.all_links_agree,
                 }
-                for r in reports
+                for c in r.checks
             ],
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        name = args.catalog or args.space
-        r0 = reports[0]
-        print(f"Witt condition for {name} "
-              f"(oriented={r0.oriented}, irreducible={r0.irreducible})")
-        for r in reports:
-            verdict = "pass" if r.passes else "fail"
-            detail = "; ".join(
-                f"stratum dim {c.stratum_dim}: middle IH dim {c.link_dim_checked}"
-                for c in r.checks
-            ) or "no odd-codimension strata"
-            print(f"  {r.coeff_label}: {verdict} ({detail})")
-    return 0
+        for r in reports
+    ]}
+    r0 = reports[0]
+    lines = [f"Witt condition for {name} "
+             f"(oriented={r0.oriented}, irreducible={r0.irreducible})"]
+    for r in reports:
+        detail = "; ".join(
+            f"stratum dim {c.stratum_dim}: middle IH dim {c.link_dim_checked}"
+            for c in r.checks
+        ) or "no odd-codimension strata"
+        lines.append(f"  {r.coeff_label}: {'pass' if r.passes else 'fail'} ({detail})")
+    return _emit(args, doc, lines)
 
 
 def _parse_gram_entry(text, field):
@@ -324,24 +298,15 @@ def cmd_witt_class(args):
         cls = witt_invariants(form)
     except WittError as e:
         raise CliError(str(e), EXIT_DEGENERATE)
-    if args.json:
-        doc = {
-            "command": "witt-class",
-            "matrix": args.matrix,
-            "field": args.field,
-            "class": {
-                "description": cls.describe(),
-                "identity": cls.is_identity,
-                "dim0": cls.dim0,
-                "dpm": cls.dpm,
-                "signature": cls.signature,
-            },
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        tag = " (trivial class)" if cls.is_identity else ""
-        print(f"Witt class over {cls.field_label}: {cls.describe()}{tag}")
-    return 0
+    doc = {"matrix": args.matrix, "field": args.field, "class": {
+        "description": cls.describe(),
+        "identity": cls.is_identity,
+        "dim0": cls.dim0,
+        "dpm": cls.dpm,
+        "signature": cls.signature,
+    }}
+    tag = " (trivial class)" if cls.is_identity else ""
+    return _emit(args, doc, [f"Witt class over {cls.field_label}: {cls.describe()}{tag}"])
 
 
 def cmd_bordism(args):
@@ -355,48 +320,30 @@ def cmd_bordism(args):
     else:
         group = bordism_group(args.n, args.p)
         subject = "a point"
-    if args.json:
-        doc = {
-            "command": "bordism",
-            "n": args.n,
-            "p": args.p,
-            "space": args.space,
-            "group": {
-                "free_rank": group.free_rank,
-                "torsion": list(group.torsion),
-                "description": group.describe(),
-            },
-        }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        print(f"Witt bordism in degree {args.n} over Z_{args.p} of {subject}: "
-              f"{group.describe()}")
-    return 0
+    doc = {"n": args.n, "p": args.p, "space": args.space, "group": {
+        "free_rank": group.free_rank,
+        "torsion": list(group.torsion),
+        "description": group.describe(),
+    }}
+    return _emit(args, doc, [f"Witt bordism in degree {args.n} over Z_{args.p} "
+                             f"of {subject}: {group.describe()}"])
 
 
 def cmd_catalog(args):
     entries = catalog_entries()
-    if args.json:
-        doc = {
-            "command": "catalog",
-            "entries": [
-                {
-                    "name": e.name,
-                    "dimension": e.dimension,
-                    "kind": e.kind,
-                    "cost_class": e.cost_class,
-                    "description": e.description,
-                }
-                for e in entries
-            ],
+    doc = {"entries": [
+        {
+            "name": e.name,
+            "dimension": e.dimension,
+            "kind": e.kind,
+            "cost_class": e.cost_class,
+            "description": e.description,
         }
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        width = max(len(e.name) for e in entries)
-        for e in entries:
-            print(f"{e.name:<{width}}  dim {e.dimension}  {e.kind:<12} "
-                  f"{e.cost_class:<8} {e.description}")
-    return 0
+        for e in entries
+    ]}
+    width = max(len(e.name) for e in entries)
+    return _emit(args, doc, [f"{e.name:<{width}}  dim {e.dimension}  {e.kind:<12} "
+                             f"{e.cost_class:<8} {e.description}" for e in entries])
 
 
 def build_parser():

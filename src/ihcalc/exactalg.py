@@ -4,15 +4,16 @@ Everything here is exact: rationals use arbitrary-precision fractions,
 Z_p uses integers mod p, F_{p^m} (at most 2^16 elements) uses
 logarithm and Zech logarithm tables built on first use, and the Smith
 normal form never leaves Z.  No floating point anywhere.  Ranks are
-taken in the prime field of the coefficients.  There is one elimination:
-a pass of unit pivots taken sparsest column first, then Euclid steps on
-the core it leaves, then the rank, or over Z Smith's column step.  Mod p
-the unit pass is the whole rank; over Q the Euclid steps finish it.
-`kernel_image`, which every homology table uses, first runs the unit
-and Euclid pivots on a chosen set of rows, then finishes with the rank
-or the Smith normal form on the same index; it can leave columns out,
-and returns the rows it pivoted on, for clearing (see there).
-Primes must be below 2^64.
+taken in the prime field of the coefficients.  There is one elimination,
+and `kernel_image` is the only way into it: a pass of unit pivots taken
+sparsest column first, then Euclid steps on the core it leaves, then the
+rank, or over Z Smith's column step.  Mod p the unit pass is the whole
+rank; over Q the Euclid steps finish it.  Every homology table calls
+`kernel_image`, which first runs the unit and Euclid pivots on a chosen
+set of rows, then finishes with the rank or the Smith normal form on the
+same index; it can leave columns out, and returns the rows it pivoted
+on, for clearing (see there).  `rank` and `smith_normal_form` are
+`kernel_image` with no rows chosen.  Primes must be below 2^64.
 """
 
 from __future__ import annotations
@@ -572,21 +573,10 @@ def _unit_pivots(rows, cols, p, only=None):
 
 
 def rank(A: ExactMatrix, coeff) -> int:
-    """Rank of A over a coefficient field.
-
-    Unit pivots go first, sparsest column first (`_unit_pivots`); mod p
-    they are the whole rank, and over Q Euclid steps finish the small
-    core they leave (`_euclid_pivots`)."""
-    p = prime_field(coeff).char
-    return _rank(*_index(A.entries, p), p)[0]
-
-
-def _rank(rows, cols, p):
-    """(rank, pivot columns): the unit pivots, then the Euclid pivots of
-    whatever core is left."""
-    pivots = _unit_pivots(rows, cols, p)
-    pivots.extend(_euclid_pivots(rows, cols, cols))
-    return len(pivots), pivots
+    """Rank of A over a coefficient field: `kernel_image` with no rows
+    chosen, which ranks the transpose, of the same rank."""
+    prime_field(coeff)  # refuses Z, which kernel_image would take
+    return kernel_image(A, (), coeff)[1]
 
 
 def _euclid(rows, cols, c):
@@ -650,7 +640,10 @@ def kernel_image(A: ExactMatrix, rows, coeff, skip=()):
         {(c, r): v for (r, c), v in entries.items() if c not in skip}, p)
     bad = cols.keys() & set(rows)
     count = len(_unit_pivots(idx, cols, p, only=bad) + _euclid_pivots(idx, cols, bad))
-    return (count, *(_smith(idx, cols) if integral else _rank(idx, cols, p)))
+    if integral:
+        return (count, *_smith(idx, cols))
+    pivots = _unit_pivots(idx, cols, p) + _euclid_pivots(idx, cols, cols)
+    return count, len(pivots), pivots
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -667,17 +660,10 @@ class SNFResult:
 
 
 def smith_normal_form(A: ExactMatrix) -> SNFResult:
-    """Invariant factors d1 | d2 | ... of an integer matrix.
-
-    First eliminates +-1 pivots, sparsest column first and shortest row
-    within it (`_unit_pivots`, the pass `rank` runs), each contributing
-    an invariant factor 1.  The remaining core is cleared a column at a
-    time, sparsest first: Euclid steps on rows (`_euclid`, as in
-    `kernel_image`) leave one entry g in it, and column operations
-    reduce the rest of its row mod g; a remainder becomes the next
-    pivot column.  Invariant factors are unique, so the pre-pass does
-    not change the result."""
-    return _smith(*_index(_integer_entries(A), 0))[0]
+    """Invariant factors d1 | d2 | ... of an integer matrix:
+    `kernel_image` with no rows chosen, which puts the transpose, of the
+    same Smith form, through `_smith`."""
+    return kernel_image(A, (), INTEGERS)[1]
 
 
 def _integer_entries(A):
@@ -690,7 +676,14 @@ def _integer_entries(A):
 
 
 def _smith(rows, cols):
-    """(SNFResult, the pivot columns of the unit pre-pass)."""
+    """(SNFResult, the pivot columns of the unit pre-pass).
+
+    First eliminates +-1 pivots (`_unit_pivots`), each contributing an
+    invariant factor 1.  The remaining core is cleared a column at a
+    time, sparsest first: Euclid steps on rows (`_euclid`) leave one
+    entry g in it, and column operations reduce the rest of its row mod
+    g; a remainder becomes the next pivot column.  Invariant factors are
+    unique, so the pre-pass does not change the result."""
     units = _unit_pivots(rows, cols, 0)
     diag = [1] * len(units)
     while True:

@@ -39,6 +39,7 @@ from .exactalg import (
 from .simplicial import (
     SimplicialComplex,
     StratifiedComplex,
+    check_full_skeleta,
     ranked_simplices,
     simplicial_link,
     sorted_vertices,
@@ -60,10 +61,8 @@ class Perversity:
 
     __slots__ = ("values", "n")
 
-    def __init__(self, values, n=None):
+    def __init__(self, values, n):
         values = tuple(int(v) for v in values)
-        if n is None:
-            n = len(values) + 1
         if n >= 2 and len(values) != n - 1:
             raise PerversityError(
                 f"need values for codimensions 2..{n}, got {len(values)}"
@@ -153,6 +152,9 @@ def _is_allowable(s, i, pbar, bounds):
 
 
 def _skeleton_vertex_sets(X):
+    """(k, vertices of X^(n-k)) for each nonempty X^(n-k), k = 2..n;
+    counting vertices needs full skeleta (`check_full_skeleta`)."""
+    check_full_skeleta(X)
     n = X.n
     out = []
     for k in range(2, n + 1):
@@ -408,7 +410,9 @@ def link_tables(X, pbar, coeff, codims, every_link=False):
     `codims`, in that order, yields (c, component, tables): the tables of
     the links of its first simplex, or of every simplex when `every_link`,
     each at `pbar` cut to the link's dimension.  Equal links, such as the
-    two poles of a suspension, share one table."""
+    two poles of a suspension, share one table.  Raises SimplicialError
+    unless X's skeleta are full (`check_full_skeleta`)."""
+    check_full_skeleta(X)
     seen = {}
     for c in codims:
         for comp in stratum_components(X, X.n - c):

@@ -19,8 +19,6 @@ class SimplicialError(ValueError):
 
 def _canon_key(v):
     """Total order on mixed vertex labels, for deterministic output."""
-    if isinstance(v, bool):
-        return (0, int(v))
     if isinstance(v, int):
         return (0, v)
     if isinstance(v, str):
@@ -204,9 +202,7 @@ class StratifiedComplex:
 
     __slots__ = ("complex", "skeleta", "n")
 
-    def __init__(self, complex, skeleta, n=None):
-        if n is None:
-            n = complex.dimension
+    def __init__(self, complex, skeleta, n):
         skeleta = list(skeleta)
         if len(skeleta) != n + 1:
             raise SimplicialError(
@@ -278,6 +274,25 @@ class StratifiedComplex:
         return f"StratifiedComplex(n={self.n}, f={self.complex.f_vector()})"
 
 
+def check_full_skeleta(X: StratifiedComplex):
+    """Raise SimplicialError unless each skeleton X^0, ..., X^(n-2) is a
+    full subcomplex, holding every simplex of X on its vertices, as
+    allowability assumes when it counts a simplex's vertices in X^(n-k).
+    Only those simplices are visited, grown a vertex at a time from the
+    skeleton's vertices."""
+    K = X.complex
+    for i, skel in enumerate(X.skeleta[:X.n - 1]):
+        verts, level, d = skel.vertices, skel.faces(0), 0
+        while level:
+            d += 1
+            level = K.faces(d).intersection(s | {v} for s in level for v in verts - s)
+            missing = level - skel.faces(d)
+            if missing:
+                first = sorted_vertices(min(missing, key=simplex_key))
+                raise SimplicialError(f"skeleton {i} is not a full subcomplex: "
+                                      f"{first} lies on its vertices but not in it")
+
+
 @dataclass
 class PseudomanifoldReport:
     dimensional_homogeneity: bool
@@ -330,10 +345,12 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
     # two have as many faces in each degree; only failures need facets()
     homogeneous, level = K.dimension == n, cofaces.keys()
     for d in range(n - 1, -1, -1):
-        if homogeneous and len(level) != len(K.faces(d)):
-            homogeneous = False
-            failures.extend(s for s in K.facets() if len(s) - 1 != n)
+        if not homogeneous:
+            break
+        homogeneous = len(level) == len(K.faces(d))
         level = {t[:j] + t[j + 1:] for t in level for j in range(d + 1)}
+    if not homogeneous:
+        failures.extend(s for s in K.facets() if len(s) - 1 != n)
 
     # the keys of `cofaces` are (n-1)-faces: sort all only to list failures
     regular = n < 1 or (len(cofaces) == len(K.faces(n - 1)) and all(

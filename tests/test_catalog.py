@@ -17,6 +17,7 @@ from ihcalc.catalog import (
 from ihcalc.exactalg import INTEGERS, PrimeField, RATIONALS
 from ihcalc.ihcore import Perversity, ih_homology, ordinary_homology
 from ihcalc.simplicial import (
+    check_full_skeleta,
     contract_edges,
     product_complex,
     simplex_key,
@@ -115,6 +116,12 @@ def test_golden_triangulation(name):
 def test_golden_skeleta(name):
     X = catalog_build(name)
     assert tuple(_digest(sk) for sk in X.skeleta[:-1]) == GOLDEN_SKELETA[name]
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TRIANGULATIONS))
+def test_skeleta_are_full(name):
+    # allowability counts vertices in the skeleta, which needs them full
+    check_full_skeleta(catalog_build(name))
 
 
 def test_no_edge_of_the_j_product_contracts():
@@ -222,6 +229,12 @@ class TestFormulaEntries:
     def test_uhat_default_euler_number(self):
         t = catalog_table("Uhat_S2", Perversity.lower_middle(4), "Z3")
         assert t.dims == (1, 0, 0, 0, 1)
+
+    @pytest.mark.parametrize("name", ["Uhat_S2", "Y_T2", "X8_SJ", "X8_SY"])
+    def test_refuses_the_integers(self, name):
+        pbar = Perversity.lower_middle(catalog_entry(name).dimension)
+        with pytest.raises(CatalogError, match="formula entries need field coefficients"):
+            catalog_table(name, pbar, "Z")
 
     def test_x8_tables_have_dimension_eight(self):
         m8 = Perversity.lower_middle(8)

@@ -11,8 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ihcalc import cli
+from ihcalc.catalog import catalog_build
 from ihcalc.cli import main, parse_coefficients
 from ihcalc.exactalg import PrimeField, coeff_from_label
+from ihcalc.ihcore import Perversity, ih_homology
 
 # suspension of a triangle circle: a 2-sphere with the poles (3 and 4)
 # marked as the 0-skeleton
@@ -24,6 +26,16 @@ SUSP_S1 = {
     ],
     "skeleta": {"0": [[3], [4]]},
 }
+
+# S2 with the point strata 0 and 1, whose edge [0, 1] is not in X^0
+NOT_FULL_SPACE = {
+    "dimension": 2,
+    "maximal_simplices": [[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]],
+    "skeleta": {"0": [[0], [1]]},
+}
+
+# a circle given formal dimension 3
+LOW_SPACE = {"dimension": 3, "maximal_simplices": [[0, 1], [1, 2], [0, 2]]}
 
 # a triangle with a free edge: not a pseudomanifold
 BAD_SPACE = {
@@ -46,7 +58,7 @@ def bad_space_file(tmp_path):
     return str(p)
 
 
-def gram_file(tmp_path, doc, name="gram.json"):
+def json_file(tmp_path, doc, name="gram.json"):
     p = tmp_path / name
     p.write_text(json.dumps(doc))
     return str(p)
@@ -88,8 +100,34 @@ class TestExitCodes:
         # without --strict the computation proceeds
         assert main(["compute", "--space", bad_space_file]) == 0
 
+    def test_witt_check_non_pseudomanifold_without_strict(self, bad_space_file, capsys):
+        assert main(["witt-check", "--space", bad_space_file]) == 4
+        assert "at [4, 5]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--strict"], ["witt-check"], ["witt-check", "--strict"],
+    ], ids=["compute-strict", "witt-check", "witt-check-strict"])
+    def test_below_formal_dimension_names_a_facet(self, tmp_path, capsys, argv):
+        f = json_file(tmp_path, LOW_SPACE, "low.json")
+        assert main([*argv, "--space", f]) == 4
+        assert capsys.readouterr().err == (
+            "error: input is not a pseudomanifold: failed dimensional homogeneity at [0, 1]\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["compute", "--perversity", "0", "--coeff", "Q", "--strict"],
+        ["compute", "--perversity", "0", "--coeff", "Z"],
+        ["witt-check"],
+    ], ids=["compute-Q", "compute-Z", "witt-check"])
+    def test_skeleton_not_full(self, tmp_path, capsys, argv):
+        f = json_file(tmp_path, NOT_FULL_SPACE, "not_full.json")
+        assert main([argv[0], "--space", f, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            "error: skeleton 0 is not a full subcomplex: "
+            "[0, 1] lies on its vertices but not in it\n")
+
     def test_degenerate_matrix(self, tmp_path, capsys):
-        f = gram_file(tmp_path, {"dimension": 1, "entries": ["0"]})
+        f = json_file(tmp_path, {"dimension": 1, "entries": ["0"]})
         r = main(["witt-class", "--matrix", f, "--field", "Zp:3"])
         assert r == 5
 
@@ -231,6 +269,25 @@ class TestCompute:
         degrees = doc["table"]["degrees"]
         assert [degrees[str(i)]["dimension"] for i in range(3)] == [1, 0, 1]
 
+    def test_normalize_triangulation_fills_the_skeleta(self, tmp_path, capsys):
+        f = json_file(tmp_path, NOT_FULL_SPACE, "not_full.json")
+        assert main(["compute", "--space", f, "--perversity", "0", "--coeff", "Q",
+                     "--strict", "--normalize-triangulation"]) == 0
+        assert capsys.readouterr().out.splitlines()[1:] == [
+            "  H_0 = Q", "  H_1 = 0", "  H_2 = Q"]
+
+    @pytest.mark.parametrize("spec,perversity", [
+        ("0", Perversity.zero), ("m", Perversity.lower_middle),
+        ("n", Perversity.upper_middle), ("t", Perversity.top),
+    ])
+    @pytest.mark.parametrize("name,coeff", [("cone_RP2", "Z"), ("S_RP2", "Zp:2")])
+    def test_named_perversities(self, capsys, spec, perversity, name, coeff):
+        assert main(["compute", "--catalog", name, "--perversity", spec,
+                     "--coeff", coeff, "--json"]) == 0
+        X = catalog_build(name)
+        want = ih_homology(X, perversity(X.n), parse_coefficients(coeff))
+        assert json.loads(capsys.readouterr().out)["table"] == want.as_dict()
+
     def test_json_deterministic(self, capsys):
         main(["compute", "--catalog", "S_RP2", "--coeff", "Zp:2", "--json"])
         first = capsys.readouterr().out
@@ -272,6 +329,14 @@ class TestWittCheck:
     def test_integral_rejected(self, capsys):
         assert main(["witt-check", "--catalog", "S_RP2", "--coeff", "Z"]) == 2
 
+    def test_text_lists_each_odd_codimension_stratum(self, capsys):
+        assert main(["witt-check", "--catalog", "S_RP2", "--coeff", "Q,Zp:2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "Witt condition for S_RP2 (oriented=False, irreducible=True)",
+            "  Q: pass (stratum dim 0: middle IH dim 0; stratum dim 0: middle IH dim 0)",
+            "  Z2: fail (stratum dim 0: middle IH dim 1; stratum dim 0: middle IH dim 1)",
+        ]
+
     def test_manifold_vacuous(self, capsys):
         assert main(["witt-check", "--catalog", "T2", "--coeff", "Q"]) == 0
         out = capsys.readouterr().out
@@ -287,7 +352,7 @@ class TestWittClass:
         assert doc["class"]["dpm"] == "nonsquare"
 
     def test_rational_signature(self, tmp_path, capsys):
-        f = gram_file(tmp_path, {
+        f = json_file(tmp_path, {
             "dimension": 2,
             "entries": ["1", "0", "0", "-1/2"],
         })
@@ -299,7 +364,7 @@ class TestWittClass:
 
     def test_poly_entries(self, tmp_path, capsys):
         # the generator of F9 is a square there
-        f = gram_file(tmp_path, {"dimension": 1, "entries": ["poly:0,1"]})
+        f = json_file(tmp_path, {"dimension": 1, "entries": ["poly:0,1"]})
         assert main(["witt-class", "--matrix", f, "--field", "Fq:3:2",
                      "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -307,20 +372,20 @@ class TestWittClass:
         assert doc["class"]["dpm"] == "square"
 
     def test_poly_needs_extension_field(self, tmp_path, capsys):
-        f = gram_file(tmp_path, {"dimension": 1, "entries": ["poly:0,1"]})
+        f = json_file(tmp_path, {"dimension": 1, "entries": ["poly:0,1"]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
 
     def test_wrong_entry_count(self, tmp_path, capsys):
-        f = gram_file(tmp_path, {"dimension": 2, "entries": ["1", "0", "0"]})
+        f = json_file(tmp_path, {"dimension": 2, "entries": ["1", "0", "0"]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
 
     def test_fraction_needs_rationals(self, tmp_path, capsys):
-        f = gram_file(tmp_path, {"dimension": 1, "entries": ["1/2"]})
+        f = json_file(tmp_path, {"dimension": 1, "entries": ["1/2"]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
     def test_zero_denominator(self, tmp_path, capsys):
-        f = gram_file(tmp_path, {"dimension": 1, "entries": ["1/0"]})
+        f = json_file(tmp_path, {"dimension": 1, "entries": ["1/0"]})
         assert main(["witt-class", "--matrix", f, "--field", "Q"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
@@ -328,7 +393,7 @@ class TestWittClass:
     @pytest.mark.parametrize("entry", [1.5, True])
     def test_non_integer_entry(self, tmp_path, capsys, entry):
         # 1.5 used to be read as 1, True as 1
-        f = gram_file(tmp_path, {"dimension": 1, "entries": [entry]})
+        f = json_file(tmp_path, {"dimension": 1, "entries": [entry]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -434,6 +499,18 @@ class TestCatalogCommand:
         assert main(["catalog"]) == 0
         out = capsys.readouterr().out
         assert "L3_1" in out and "dim 3" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "--catalog", "S2"],
+    ["witt-check", "--catalog", "S2"],
+    ["witt-class", "--matrix", "I2", "--field", "Zp:3"],
+    ["bordism", "--n", "4", "--p", "3"],
+    ["catalog"],
+], ids=lambda argv: argv[0])
+def test_json_names_its_subcommand(capsys, argv):
+    assert main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
 
 
 SIMPLEX = st.lists(st.integers(0, 5), min_size=1, max_size=4)

@@ -11,6 +11,7 @@ from ihcalc.simplicial import (
     StratifiedComplex,
     barycentric_subdivision,
     build_complex,
+    check_full_skeleta,
     cone,
     connected_sum,
     contract_edges,
@@ -28,6 +29,7 @@ from ihcalc.simplicial import (
 )
 from ihcalc import catalog
 from ihcalc.catalog import catalog_build
+from ihcalc.witt import witt_condition_check
 
 
 def sphere2():
@@ -193,6 +195,68 @@ class TestVerification:
         rep = verify_pseudomanifold(X)
         assert not rep.no_codim_one
         assert rep.failure_message().endswith("X^{n-1} != X^{n-2}")
+
+    def test_below_formal_dimension_lists_every_facet(self):
+        # no (n-1)-face and no n-simplex: homogeneity still names the facets
+        K = build_complex([[0, 1], [1, 2], [0, 2]])
+        rep = verify_pseudomanifold(StratifiedComplex.trivial(K, 3))
+        assert not rep.dimensional_homogeneity and rep.face_regularity
+        assert sorted(map(sorted_vertices, rep.failures)) == [[0, 1], [0, 2], [1, 2]]
+        assert rep.failure_message() == (
+            "input is not a pseudomanifold: failed dimensional homogeneity"
+            f" at {sorted_vertices(rep.failures[0])}")
+
+
+E = SimplicialComplex.empty()
+
+
+def _points(*vs):
+    return SimplicialComplex.from_maximal([{v} for v in vs])
+
+
+class TestStratifiedComplexRefusals:
+    @pytest.mark.parametrize("skeleta,message", [
+        ([E, sphere2()], "need 3 skeleta for formal dimension 2, got 2"),
+        ([E, E, build_complex([[0, 1, 2]])], "top skeleton must be the whole complex"),
+        ([build_complex([[0, 1]])] * 2 + [sphere2()], r"skeleton 0 has dimension > 0"),
+        ([_points(0), E, sphere2()], "skeleton 0 not contained in skeleton 1"),
+        ([_points(9), _points(9), sphere2()], "skeleton 0 not a subcomplex"),
+    ], ids=["count", "top", "dimension", "nested", "subcomplex"])
+    def test_refusal(self, skeleta, message):
+        with pytest.raises(SimplicialError, match=message):
+            StratifiedComplex(sphere2(), skeleta, 2)
+
+
+# S2 with the two point strata 0 and 1, whose edge [0, 1] is not in X^0
+NOT_FULL = StratifiedComplex.from_skeleton_map(sphere2(), {0: _points(0, 1)}, 2)
+
+
+class TestFullSkeleta:
+    def test_missing_edge_is_named(self):
+        with pytest.raises(SimplicialError, match=r"skeleton 0 .*\[0, 1\] lies on its vertices"):
+            check_full_skeleta(NOT_FULL)
+
+    def test_missing_triangle_is_named(self):
+        # X^1 the boundary of the triangle [0, 1, 2] of the 3-sphere
+        K = build_complex([[0, 1, 2, 3], [0, 1, 2, 4], [0, 1, 3, 4],
+                           [0, 2, 3, 4], [1, 2, 3, 4]])
+        X = StratifiedComplex.from_skeleton_map(
+            K, {1: build_complex([[0, 1], [1, 2], [0, 2]])}, 3)
+        with pytest.raises(SimplicialError, match=r"skeleton 1 .*\[0, 1, 2\]"):
+            check_full_skeleta(X)
+
+    def test_tables_and_witt_check_refuse(self):
+        with pytest.raises(SimplicialError, match=r"\[0, 1\]"):
+            ih_homology(NOT_FULL, Perversity.zero(2), RATIONALS)
+        with pytest.raises(SimplicialError, match=r"\[0, 1\]"):
+            ih_homology(NOT_FULL, Perversity.zero(2), INTEGERS)
+        with pytest.raises(SimplicialError, match=r"\[0, 1\]"):
+            witt_condition_check(NOT_FULL, RATIONALS)
+
+    def test_subdivision_makes_the_skeleta_full(self):
+        X = barycentric_subdivision(NOT_FULL)
+        check_full_skeleta(X)
+        assert ih_homology(X, Perversity.zero(2), RATIONALS).dims == (1, 0, 1)
 
 
 class TestConeSuspension:

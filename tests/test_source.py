@@ -116,3 +116,48 @@ def test_lattice_reference_stays_out_of_the_package():
     assert reference
     for path in sorted(PACKAGE.glob("*.py")):
         assert not reference & defined_names(path.read_text()), path.name
+
+
+def references_to(source, names):
+    """(enclosing function, name) for each read of a name in `names` in
+    `source`, as a call or as a value; None outside any function."""
+    found = set()
+
+    def visit(node, fn):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                name = child.id
+            else:
+                name = child.attr if isinstance(child, ast.Attribute) else None
+            if name in names:
+                found.add((fn, name))
+            visit(child, fn)
+
+    visit(ast.parse(source), None)
+    return sorted(found, key=lambda x: (str(x[0]), x[1]))
+
+
+ELIMINATION = {"_unit_pivots", "_euclid_pivots", "_smith"}
+
+
+def test_reference_to_the_elimination_is_detected():
+    source = (
+        "def kernel_image(A):\n    return _smith(A)\n\n"
+        "def rank(A):\n    step = _unit_pivots\n    return step(A) + ea._euclid_pivots(A)\n\n"
+        "PASSES = [_smith]\n"
+    )
+    assert references_to(source, ELIMINATION) == [
+        (None, "_smith"), ("kernel_image", "_smith"),
+        ("rank", "_euclid_pivots"), ("rank", "_unit_pivots"),
+    ]
+
+
+def test_kernel_image_is_the_only_entry_into_the_elimination():
+    # `rank` and `smith_normal_form` go through `kernel_image`, so they
+    # cannot drift from the tables
+    found = {(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
+             for fn, _ in references_to(path.read_text(), ELIMINATION)}
+    assert found == {("exactalg.py", "kernel_image"), ("exactalg.py", "_smith")}

@@ -310,6 +310,16 @@ class TestGroupLaw:
                             )
                             assert witt_class_add(a, b) == s
 
+    def test_additivity_vs_block_sum_rationals(self):
+        # over Q a class is its signature, and block sums add them
+        for ea in itertools.product((1, -2, 3), repeat=2):
+            for eb in ((-1,), (5, -7), (2, 2, -3)):
+                a = witt_invariants(diag_form(ea, RATIONALS))
+                b = witt_invariants(diag_form(eb, RATIONALS))
+                s = witt_invariants(diag_form(ea + eb, RATIONALS))
+                assert witt_class_add(a, b) == s
+                assert s.signature == sum(1 if e > 0 else -1 for e in ea + eb)
+
     def test_additivity_vs_block_sum_f27(self):
         # a seeded sample over an extension field with q = 3 mod 4
         F27 = make_field(3, 3)
