@@ -43,7 +43,7 @@ from .witt import (
     BilinearForm,
     WittError,
     bordism_group,
-    witt_condition_check,
+    witt_condition_checks,
     witt_invariants,
 )
 
@@ -213,7 +213,7 @@ def cmd_witt_check(args):
     if INTEGERS in coeffs:
         raise CliError("the Witt condition is tested over fields", EXIT_PARSE)
     try:
-        reports = [witt_condition_check(X, c, args.check_all_links) for c in coeffs]
+        reports = witt_condition_checks(X, coeffs, args.check_all_links)
     except WittError as e:
         raise CliError(str(e), EXIT_NOT_PSEUDOMANIFOLD)
     name = args.catalog or args.space

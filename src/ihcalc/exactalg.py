@@ -9,11 +9,14 @@ and `kernel_image` is the only way into it: a pass of unit pivots taken
 sparsest column first, then Euclid steps on the core it leaves, then the
 rank, or over Z Smith's column step.  Mod p the unit pass is the whole
 rank; over Q the Euclid steps finish it.  Every homology table calls
-`kernel_image`, which first runs the unit and Euclid pivots on a chosen
-set of rows, then finishes with the rank or the Smith normal form on the
-same index; it can leave columns out, and returns the rows it pivoted
-on, for clearing (see there).  `rank` and `smith_normal_form` are
-`kernel_image` with no rows chosen.  Primes must be below 2^64.
+`kernel_image` on a boundary that `ihcore` builds straight into the
+index the elimination works on, the transpose of the matrix as sparse
+rows with a column index beside them; no `ExactMatrix` is made.
+`kernel_image` first runs the unit and Euclid pivots on a chosen set of
+rows, then finishes with the rank or the Smith normal form on the same
+index, and returns the rows it pivoted on, for clearing.  `rank` and
+`smith_normal_form` are `kernel_image` with no rows chosen, on the index
+`_index` builds of an `ExactMatrix`.  Primes must be below 2^64.
 """
 
 from __future__ import annotations
@@ -504,16 +507,18 @@ def prime_field(coeff):
 
 
 def _index(entries, p):
-    """Rows {r: {c: v}} and columns {c: {r: None}}, mod p if p > 0."""
-    rows, cols = {}, {}
+    """The index `kernel_image` takes of the matrix with these entries
+    {(r, c): v}: its transpose, ({c: {r: v}}, {r: {c: None}}), mod p if
+    p > 0."""
+    columns, rows = {}, {}
     for (r, c), v in entries.items():
         if p:
             v %= p
             if not v:
                 continue
-        rows.setdefault(r, {})[c] = v
-        cols.setdefault(c, {})[r] = None
-    return rows, cols
+        columns.setdefault(c, {})[r] = v
+        rows.setdefault(r, {})[c] = None
+    return columns, rows
 
 
 def _add_row(rows, cols, src, dst, factor, p):
@@ -547,8 +552,11 @@ def _unit_pivots(rows, cols, p, only=None):
     core is left.  A pivot clears its column by row operations, then its
     row and column are dropped: clearing the row by column operations
     would touch no other row, so the pass also serves the Smith normal
-    form.  Given `only`, pivot columns are taken from it alone."""
-    heap = [(len(col), c) for c, col in cols.items() if only is None or c in only]
+    form.  Given `only`, some of the columns, pivots are taken in it alone."""
+    if only is None:
+        heap = list(zip(map(len, cols.values()), cols))
+    else:
+        heap = [(len(cols[c]), c) for c in only]
     heapq.heapify(heap)
     pivots = []
     while heap:
@@ -575,8 +583,8 @@ def _unit_pivots(rows, cols, p, only=None):
 def rank(A: ExactMatrix, coeff) -> int:
     """Rank of A over a coefficient field: `kernel_image` with no rows
     chosen, which ranks the transpose, of the same rank."""
-    prime_field(coeff)  # refuses Z, which kernel_image would take
-    return kernel_image(A, (), coeff)[1]
+    # prime_field refuses Z, which kernel_image would take
+    return kernel_image(_index(A.entries, prime_field(coeff).char), (), coeff)[1]
 
 
 def _euclid(rows, cols, c):
@@ -609,12 +617,17 @@ def _euclid_pivots(rows, cols, only):
     return pivots
 
 
-def kernel_image(A: ExactMatrix, rows, coeff, skip=()):
-    """(r, image, pivots) for the rows R = `rows` of A, the columns of A
-    not in `skip`, and K = ker A_R on them: r is the rank of A_R (over Q
+def kernel_image(index, rows, coeff):
+    """(r, image, pivots) for a matrix A given by its transposed index
+    ({column c of A: {row r: value}}, {row r: {column c: None}}), the
+    rows R = `rows` of A, and K = ker A_R: r is the rank of A_R (over Q
     when coeff is Z), image the rank of A(K) over a field, or over Z the
     SNFResult of the lattice A(K & Z^ncols), and pivots the rows of A on
     which the image phase took a pivot (over Z, only the +-1 pivots).
+    The index is used up.  Its values are ints, or Fractions over Q;
+    mod p they need no reduction if none is 0 mod p, since the
+    elimination reduces every value it writes: `ihcore._boundary` writes
+    +-1, and `_index` reduces an ExactMatrix for `rank`.
 
     Column operations on A are row operations on its transpose, which is
     what is indexed.  Unit pivots are taken in the rows R only
@@ -623,21 +636,11 @@ def kernel_image(A: ExactMatrix, rows, coeff, skip=()):
     column left with an entry in its pivot row, so no element of K uses
     it, and it is dropped.  The operations are unimodular, so the
     columns that remain span A(K) over Z as well, and the rank or the
-    Smith normal form finishes on the same index.
-
-    Clearing: when A is a boundary D_i on the allowable simplices, a
-    pivot row s of D_{i+1} may be left out of D_i by `skip`.  The pivot
-    column b_s of s lies in A(K), so it is an allowable cycle, and the
-    b_s are triangular on the pivot rows with units on the diagonal.
-    So K is the kernel on the other columns plus the span of the b_s,
-    which A kills and R does not see: r and A(K) do not change.  Over a
-    field every pivot counts; over Z only the +-1 pivots of the Smith
-    pre-pass do, so that the b_s span a direct summand."""
+    Smith normal form finishes on the same index.  The rows pivoted on
+    serve clearing (see `ihcore._homology_table`)."""
     integral = isinstance(coeff, Integers)
     p = 0 if integral else prime_field(coeff).char
-    entries = _integer_entries(A) if integral else A.entries
-    idx, cols = _index(
-        {(c, r): v for (r, c), v in entries.items() if c not in skip}, p)
+    idx, cols = index
     bad = cols.keys() & set(rows)
     count = len(_unit_pivots(idx, cols, p, only=bad) + _euclid_pivots(idx, cols, bad))
     if integral:
@@ -663,7 +666,7 @@ def smith_normal_form(A: ExactMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix:
     `kernel_image` with no rows chosen, which puts the transpose, of the
     same Smith form, through `_smith`."""
-    return kernel_image(A, (), INTEGERS)[1]
+    return kernel_image(_index(_integer_entries(A), 0), (), INTEGERS)[1]
 
 
 def _integer_entries(A):

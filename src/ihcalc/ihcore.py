@@ -11,25 +11,28 @@ Z_p tensored up: F_{p^m} tables are computed in the prime field Z_p and
 keep their own label.
 
 There is one chain-assembly path and one table path.  `_ChainData`
-writes each simplex as the ascending tuple of its vertex ranks in the
-canonical label order, which sort in `simplex_key` order, filters out
-the allowable simplices and lists in bad[i] the rows of D[i] on the
-others; `_boundary` takes the faces t[:j] + t[j+1:] of each t.
-`_homology_table` makes one `exactalg.kernel_image` call per degree,
-top down: column operations on D[i] clear its bad rows, and what is left
-spans the boundaries of the allowable chains, ranked over a field or
-put in Smith normal form over Z; the faces D[i + 1] pivoted on are left
-out of D[i] (clearing).  `ordinary_homology` is the table of the trivial
+keeps what the tables over every ring share: each simplex written as
+the ascending tuple of its vertex ranks in the canonical label order,
+which sort in `simplex_key` order, split into the allowable simplices
+and, in bad[i], the rows of D[i] on the others.  `_homology_table` goes
+top down and makes one `exactalg.kernel_image` call per degree: column
+operations on D[i] clear its bad rows, and what is left spans the
+boundaries of the allowable chains, ranked over a field or put in Smith
+normal form over Z.  D[i] is built by `_boundary`, which takes the faces
+of each simplex from `itertools.combinations`, straight into the index
+`kernel_image` pivots on, and only once D[i + 1] has been eliminated:
+the columns of D[i] on the faces D[i + 1] pivoted on are never built
+(clearing).  `ordinary_homology` is the table of the trivial
 stratification, where every simplex is allowable.  The Witt and local
 torsion conditions both read `link_tables`, one table per distinct link.
 """
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import combinations, filterfalse, repeat
 from math import gcd
 
 from .exactalg import (
-    ExactMatrix,
     Integers,
     INTEGERS,
     PrimeField,
@@ -40,7 +43,6 @@ from .simplicial import (
     SimplicialComplex,
     StratifiedComplex,
     check_full_skeleta,
-    ranked_simplices,
     simplicial_link,
     sorted_vertices,
     stratum_components,
@@ -140,15 +142,11 @@ def allowable(s, i, pbar, X: StratifiedComplex):
     s = frozenset(s)
     if len(s) - 1 != i:
         raise PerversityError(f"simplex has dimension {len(s) - 1}, not {i}")
-    return _is_allowable(s, i, pbar, _skeleton_vertex_sets(X))
-
-
-def _is_allowable(s, i, pbar, bounds):
-    for k, verts in bounds:
-        c = len(verts.intersection(s))
-        if c > 0 and c - 1 > i - k + pbar(k):
-            return False
-    return True
+    return all(
+        c == 0 or c - 1 <= i - k + pbar(k)
+        for k, verts in _skeleton_vertex_sets(X)
+        for c in [len(verts & s)]
+    )
 
 
 def _skeleton_vertex_sets(X):
@@ -171,48 +169,70 @@ def boundary_chain(s):
     return [(s - {v}, (-1) ** j) for j, v in enumerate(vs)]
 
 
-def _boundary(simplices, faces):
-    """Boundary matrix from the span of the rank tuples `simplices` to
-    the span of the rank tuples `faces`, which hold every face
-    t[:j] + t[j+1:] of each t; its sign (-1)^j is `boundary_chain`'s."""
-    row = {f: r for r, f in enumerate(faces)}
-    entries = {}
-    for c, t in enumerate(simplices):
-        for j in range(len(t)):
-            entries[row[t[:j] + t[j + 1:]], c] = -1 if j % 2 else 1
-    D = ExactMatrix(len(faces), len(simplices))
-    D.entries = entries
-    return D
+def _not_allowable(simplices, i, pbar, bounds):
+    """The set of those `simplices`, i-simplices as rank tuples, that are
+    not allowable (see `allowable`) for the skeleton vertex sets
+    `bounds`, in rank form.  An allowable simplex has at most
+    i - k + p(k) + 1 vertices in X^(n-k): a skeleton whose bound exceeds
+    i is skipped, skeleta with the same vertices are tested once, at the
+    least bound, and vertices are counted only in the simplices that
+    meet the skeleton."""
+    most = {}
+    for k, verts in bounds:
+        m = i - k + pbar(k) + 1
+        if m <= i:
+            most[verts] = min(m, most.get(verts, m))
+    bad = set()
+    for verts, m in most.items():
+        bad.update(t for t in filterfalse(verts.isdisjoint, simplices)
+                   if len(verts.intersection(t)) > m)
+    return bad
+
+
+def _boundary(allowed, faces, i, skip):
+    """The boundary from the span of the i-simplices `allowed` to the span
+    of `faces`, both rank tuples, as the index `kernel_image` takes:
+    ({column: {face row: +-1}}, {face row: {column: None}}), without the
+    columns in `skip`.  `combinations(t, i)` lists the faces of t
+    leaving out t[i], t[i - 1], ..., t[0]: the k-th has the sign
+    (-1)^(i - k) of `boundary_chain`."""
+    row = {f: r for r, f in enumerate(faces)}.__getitem__
+    signs = [-1 if (i - k) % 2 else 1 for k in range(i + 1)]
+    columns, rows = {}, {}
+    for c, t in enumerate(allowed):
+        if c not in skip:
+            columns[c] = col = dict(zip(map(row, combinations(t, i)), signs))
+            for r in col:
+                rows.setdefault(r, {})[c] = None
+    return columns, rows
 
 
 class _ChainData:
-    """Boundary matrices of the allowable spans, from which the tables
-    are computed.
+    """What the tables over every ring share.
 
-    For each degree i: A[i] is the list of allowable i-simplices in
-    `simplex_key` order, D[i] the boundary matrix from span A[i] to the
-    full chain group one degree down, and bad[i] the rows of D[i] on
-    non-allowable faces.  The intersection chain group in degree i is
-    the kernel of those rows.
+    For each degree i: faces[i] lists the i-simplices as rank tuples in
+    `simplex_key` order, allowed[i] the allowable ones among them, and
+    bad[i] the positions in faces[i - 1] of the non-allowable faces,
+    which are the rows of the boundary of allowed[i] (`_boundary`) that
+    an intersection chain must miss.  The intersection chain group in
+    degree i is the kernel of those rows.
     """
 
     def __init__(self, X, pbar):
         n = self.n = X.n
-        bounds = _skeleton_vertex_sets(X)
-        rank = vertex_ranks(X.complex)
-        self.A, self.D, self.bad = [], [None], [None]
-        # degree by degree, so that one degree's (rank tuple, simplex)
-        # pairs are alive at a time: fewer collector passes on big spaces
+        rank_of = vertex_ranks(X.complex).__getitem__
+        bounds = [(k, frozenset(map(rank_of, verts)))
+                  for k, verts in _skeleton_vertex_sets(X)]
+        self.faces, self.allowed, self.bad = [], [], [None]
         for i in range(n + 1):
-            faces = ranked_simplices(X.complex.faces(i), rank)
-            ok = [_is_allowable(s, i, pbar, bounds) for _, s in faces]
-            self.A.append([s for (_, s), a in zip(faces, ok) if a])
-            if i:
-                allowed = [t for (t, _), a in zip(faces, ok) if a]
-                self.D.append(_boundary(allowed, below))
-                self.bad.append(bad)
-            below = [t for t, _ in faces]
-            bad = [r for r, a in enumerate(ok) if not a]
+            faces = sorted(map(tuple, map(sorted, map(
+                map, repeat(rank_of), X.complex.faces(i)))))
+            bad = _not_allowable(faces, i, pbar, bounds)
+            self.faces.append(faces)
+            self.allowed.append([t for t in faces if t not in bad] if bad else faces)
+            if i < n:
+                self.bad.append([r for r, t in enumerate(faces) if t in bad]
+                                if bad else [])
 
 
 @dataclass(frozen=True)
@@ -310,30 +330,43 @@ class IHTable:
         return out
 
 
-def _homology_table(coeff, sizes, D, bad):
+def _homology_table(coeff, data):
     """Table of the complex whose degree-i chains are the elements of
-    the free module on sizes[i] generators that the rows bad[i] of the
+    the free module on data.allowed[i] that the rows data.bad[i] of the
     boundary D[i] (i = 1..n) send to 0.  One `kernel_image` per degree,
     top down, gives the lost chain rank and the boundaries; the cycles
     are saturated, so over Z the boundaries' Smith normal form in face
-    coordinates holds the torsion.  The row of D[i] on face r is column
-    r - #{b in bad[i] : b < r} of D[i - 1]."""
-    n = len(sizes) - 1
+    coordinates holds the torsion.
+
+    Clearing (Chen and Kerber, "Persistent homology computation with a
+    twist", 2011): the row of D[i + 1] on face r is column
+    r - #{b in bad[i + 1] : b < r} of D[i], and D[i] is built without
+    the columns of the rows D[i + 1] pivoted on.  The pivot column b_s
+    of such a row s lies in the image, so it is an allowable cycle, and
+    the b_s are triangular on the pivot rows with units on the diagonal.
+    So the kernel of the bad rows of D[i] is the kernel on the other
+    columns plus the span of the b_s, which D[i] kills and the bad rows
+    do not see: neither the lost rank nor the image changes.  Over a
+    field every pivot counts; over Z only the +-1 pivots of the Smith
+    pre-pass do, so that the b_s span a direct summand."""
+    n = data.n
     integral = isinstance(coeff, Integers)
     if not integral:
         prime_field(coeff)  # rejects an unsupported ring even when n == 0
-    chains = list(sizes)
+    chains = [len(a) for a in data.allowed]
     image = [0] * (n + 2)
     tors = [()] * (n + 1)
     skip = ()
     for i in range(n, 0, -1):
-        lost, img, pivots = kernel_image(D[i], bad[i], coeff, skip)
+        bad = data.bad[i]
+        index = _boundary(data.allowed[i], data.faces[i - 1], i, skip)
+        lost, img, pivots = kernel_image(index, bad, coeff)
         chains[i] -= lost
         if integral:
             image[i], tors[i - 1] = img.rank, img.torsion
         else:
             image[i] = img
-        skip = {r - bisect_left(bad[i], r) for r in pivots}
+        skip = {r - bisect_left(bad, r) for r in pivots}
     ranks = tuple(chains[i] - image[i] - image[i + 1] for i in range(n + 1))
     if integral:
         return IHTable(coeff_label="Z", n=n, free_ranks=ranks,
@@ -348,8 +381,7 @@ def ih_homology(X: StratifiedComplex, pbar: Perversity, coeff) -> IHTable:
         raise PerversityError(
             f"perversity is for dimension {pbar.n}, space has {X.n}"
         )
-    data = _ChainData(X, pbar)
-    return _homology_table(coeff, [len(a) for a in data.A], data.D, data.bad)
+    return _homology_table(coeff, _ChainData(X, pbar))
 
 
 def ordinary_homology(C: SimplicialComplex, coeff) -> IHTable:

@@ -10,7 +10,7 @@ label order, which compare like `simplex_key`.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, combinations, permutations, repeat
 
 
 class SimplicialError(ValueError):
@@ -348,7 +348,7 @@ def verify_pseudomanifold(X: StratifiedComplex) -> PseudomanifoldReport:
         if not homogeneous:
             break
         homogeneous = len(level) == len(K.faces(d))
-        level = {t[:j] + t[j + 1:] for t in level for j in range(d + 1)}
+        level = set(chain.from_iterable(map(combinations, level, repeat(d))))
     if not homogeneous:
         failures.extend(s for s in K.facets() if len(s) - 1 != n)
 
@@ -573,12 +573,12 @@ def _sd_complex(K, label):
     for f in K.facets():
         vs = sorted_vertices(f)
         for perm in permutations(vs):
-            chain = []
+            flag = []
             cur = frozenset()
             for v in perm:
                 cur = cur | {v}
-                chain.append(label[cur])
-            facets.append(frozenset(chain))
+                flag.append(label[cur])
+            facets.append(frozenset(flag))
     return SimplicialComplex.from_maximal(facets)
 
 

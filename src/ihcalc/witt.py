@@ -347,39 +347,49 @@ class WittReport:
 
 
 def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
-    """Middle-perversity vanishing in degree (c - 1) / 2 of the links, from
+    """The report of `witt_condition_checks` for the one field `coeff`."""
+    return witt_condition_checks(X, [coeff], check_all_links)[0]
+
+
+def witt_condition_checks(X: StratifiedComplex, coeffs, check_all_links=False):
+    """One WittReport per field of `coeffs`, in order: middle-perversity
+    vanishing in degree (c - 1) / 2 of the links, from
     `ihcore.link_tables`, of every stratum component of odd codimension
-    c >= 3, walked with the stratum dimension ascending.  Raises
-    WittError, naming what fails, on a non-pseudomanifold."""
-    if isinstance(coeff, Integers):
+    c >= 3, walked with the stratum dimension ascending.  X is verified
+    once for all the fields.  Raises WittError on Z, before any work,
+    and, naming what fails, on a non-pseudomanifold."""
+    if any(isinstance(coeff, Integers) for coeff in coeffs):
         raise WittError("the Witt condition is tested over fields")
     rep = verify_pseudomanifold(X)
     if not rep.is_pseudomanifold:
         raise WittError(rep.failure_message())
     n = X.n
-    checks = []
     odd = range(n - 1 + n % 2, 2, -2)
     mbar = Perversity.lower_middle(n)
-    for c, comp, tables in link_tables(X, mbar, coeff, odd, check_all_links):
-        k = (c - 1) // 2
-        dims = [t.dim(k) for t in tables]
-        checks.append(
-            LinkCheck(
-                stratum_dim=n - c,
-                middle_degree=k,
-                representative=tuple(sorted_vertices(comp[0])),
-                link_dim_checked=dims[0],
-                passes=all(v == 0 for v in dims),
-                all_links_agree=all(v == dims[0] for v in dims),
+    reports = []
+    for coeff in coeffs:
+        checks = []
+        for c, comp, tables in link_tables(X, mbar, coeff, odd, check_all_links):
+            k = (c - 1) // 2
+            dims = [t.dim(k) for t in tables]
+            checks.append(
+                LinkCheck(
+                    stratum_dim=n - c,
+                    middle_degree=k,
+                    representative=tuple(sorted_vertices(comp[0])),
+                    link_dim_checked=dims[0],
+                    passes=all(v == 0 for v in dims),
+                    all_links_agree=all(v == dims[0] for v in dims),
+                )
             )
-        )
-    return WittReport(
-        coeff_label=coeff.label,
-        n=n,
-        oriented=rep.orientable,
-        irreducible=rep.irreducible,
-        checks=checks,
-    )
+        reports.append(WittReport(
+            coeff_label=coeff.label,
+            n=n,
+            oriented=rep.orientable,
+            irreducible=rep.irreducible,
+            checks=checks,
+        ))
+    return reports
 
 
 def characteristic_reduction_check(X, p, m):

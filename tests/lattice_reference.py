@@ -3,7 +3,8 @@ intersection chain complex, built by a fraction-free vector echelon and
 an xgcd lattice routine that the package does not use.  The tests hold
 its answers against the package's one elimination (`kernel_image`);
 `tests/test_source.py` checks that none of it is defined in the package
-again."""
+again.  `index_matrix` turns the index the package's boundaries are
+built in back into an `ExactMatrix`, entry for entry."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -15,7 +16,7 @@ from ihcalc.exactalg import (
     Integers,
     prime_field,
 )
-from ihcalc.ihcore import PerversityError, _ChainData
+from ihcalc.ihcore import PerversityError, _ChainData, _boundary
 
 
 def col_dicts(A):
@@ -24,6 +25,27 @@ def col_dicts(A):
     for (r, c), v in A.entries.items():
         cols[c][r] = v
     return cols
+
+
+def index_matrix(index, nrows, ncols):
+    """The nrows x ncols ExactMatrix whose transposed index, as
+    `exactalg.kernel_image` takes it, is `index`: ({column: {row:
+    value}}, {row: {column: None}}).  Fails unless the row index lists
+    exactly the entries of the columns."""
+    columns, rows = index
+    entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
+    listed = {}
+    for r, c in entries:
+        listed.setdefault(r, {})[c] = None
+    assert rows == listed, "the row index does not mirror the columns"
+    return ExactMatrix(nrows, ncols, entries)
+
+
+def boundary_matrix(data, i):
+    """D[i] of the `_ChainData` data, with every column, as an
+    ExactMatrix: rows data.faces[i - 1], columns data.allowed[i]."""
+    faces, allowed = data.faces[i - 1], data.allowed[i]
+    return index_matrix(_boundary(allowed, faces, i, ()), len(faces), len(allowed))
 
 
 def _sub_multiple(x, f, y, p):
@@ -226,9 +248,10 @@ def _combine(cols, coeffs, p):
 
 @dataclass
 class IntersectionChainComplex:
-    """Explicit chain-level data: per degree, the allowable simplices,
-    a basis of the intersection chains in those coordinates, and the
-    boundary matrix between consecutive bases."""
+    """Explicit chain-level data: per degree, the allowable simplices
+    (as `_ChainData` rank tuples), a basis of the intersection chains in
+    those coordinates, and the boundary matrix between consecutive
+    bases."""
 
     n: int
     coeff_label: str
@@ -246,11 +269,12 @@ def intersection_chain_complex(X, pbar, coeff):
     integral = isinstance(coeff, Integers)
     ring = coeff if integral else prime_field(coeff)
     p = ring.char
-    a0 = len(data.A[0])
+    a0 = len(data.allowed[0])
     one, zero = ring.one, ring.zero
     bases = [[[one if j == t else zero for j in range(a0)] for t in range(a0)]]
+    D = [None] + [boundary_matrix(data, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
-        B = _row_block(data.D[i], data.bad[i])
+        B = _row_block(D[i], data.bad[i])
         bases.append(integer_kernel_basis(B) if integral else kernel_basis(B, ring))
     boundaries = [ExactMatrix(0, a0)]
     for i in range(1, n + 1):
@@ -258,8 +282,8 @@ def intersection_chain_complex(X, pbar, coeff):
             boundaries.append(ExactMatrix(len(bases[i - 1]), len(bases[i])))
             continue
         # boundaries of the basis vectors, in the coordinates of A[i - 1]
-        Dcols, bad = col_dicts(data.D[i]), set(data.bad[i])
-        good = (r for r in range(data.D[i].nrows) if r not in bad)
+        Dcols, bad = col_dicts(D[i]), set(data.bad[i])
+        good = (r for r in range(D[i].nrows) if r not in bad)
         pos = {r: t for t, r in enumerate(good)}
         targets = []
         for u in bases[i]:
@@ -274,7 +298,7 @@ def intersection_chain_complex(X, pbar, coeff):
     icc = IntersectionChainComplex(
         n=n,
         coeff_label=coeff.label,
-        allowable=data.A,
+        allowable=data.allowed,
         bases=bases,
         boundaries=boundaries,
     )

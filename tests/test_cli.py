@@ -326,6 +326,24 @@ class TestWittCheck:
         assert base["results"][0]["passes"] == alt["results"][0]["passes"]
         assert all(c["all_links_agree"] for c in alt["results"][0]["checks"])
 
+    def test_space_is_verified_once(self, capsys, monkeypatch):
+        # one pseudomanifold check serves every field of the list
+        from ihcalc import witt
+        calls = []
+        for module in (cli, witt):
+            real = module.verify_pseudomanifold
+            monkeypatch.setattr(module, "verify_pseudomanifold",
+                                lambda X, real=real: calls.append(X) or real(X))
+        assert main(["witt-check", "--catalog", "S_RP2",
+                     "--coeff", "Q,Zp:2,Fq:2:2"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "Witt condition for S_RP2 (oriented=False, irreducible=True)",
+            "  Q: pass (stratum dim 0: middle IH dim 0; stratum dim 0: middle IH dim 0)",
+            "  Z2: fail (stratum dim 0: middle IH dim 1; stratum dim 0: middle IH dim 1)",
+            "  F2^2: fail (stratum dim 0: middle IH dim 1; stratum dim 0: middle IH dim 1)",
+        ]
+
     def test_integral_rejected(self, capsys):
         assert main(["witt-check", "--catalog", "S_RP2", "--coeff", "Z"]) == 2
 

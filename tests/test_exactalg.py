@@ -15,6 +15,7 @@ from ihcalc.exactalg import (
     INTEGERS,
     PrimeField,
     RATIONALS,
+    _index,
     _poly_mulmod,
     SNFResult,
     is_prime,
@@ -28,12 +29,13 @@ from ihcalc.exactalg import (
     smith_normal_form,
 )
 from ihcalc.catalog import catalog_build
-from ihcalc.ihcore import Perversity, _ChainData, boundary_chain
+from ihcalc.ihcore import Perversity, _ChainData, _boundary, boundary_chain
 from ihcalc.simplicial import simplex_key
 from lattice_reference import (
     _echelon,
     _row_block,
     _xgcd,
+    boundary_matrix,
     col_dicts,
     integer_kernel_basis,
     kernel_basis,
@@ -280,7 +282,7 @@ class TestRank:
             (PrimeField(3), (56, 737, 1871, 1247)),
             (make_field(3, 2), (56, 737, 1871, 1247)),
         ):
-            assert tuple(rank(data.D[i], coeff) for i in range(1, 5)) == want
+            assert tuple(rank(boundary_matrix(data, i), coeff) for i in range(1, 5)) == want
 
 
 class TestKernels:
@@ -589,7 +591,8 @@ def test_extension_field_rank_on_boundary_matrices(p):
     for pb in (Perversity.zero(3), Perversity.top(3)):  # both perversities
         data = _ChainData(X, pb)
         for i in range(1, 4):
-            for A in (_row_block(data.D[i], data.bad[i]), data.D[i]):
+            D = boundary_matrix(data, i)
+            for A in (_row_block(D, data.bad[i]), D):
                 assert rank(A, F) == dense_field_rank(A, F)
 
 
@@ -626,40 +629,62 @@ def _image_of(A, vectors):
     return ExactMatrix(A.nrows, len(vectors), entries)
 
 
+def _kernel_image(A, rows, coeff, skip=()):
+    """`kernel_image` on the index of A without the columns in `skip`,
+    built as `rank` and `smith_normal_form` build it."""
+    p = 0 if coeff is INTEGERS else prime_field(coeff).char
+    entries = {(r, c): v for (r, c), v in A.entries.items() if c not in skip}
+    return kernel_image(_index(entries, p), rows, coeff)
+
+
 class TestKernelImage:
     def test_euclid_core(self):
         # no unit in the bad row [2, 4]: its integer kernel is (2, -1),
         # which the second row sends to 2
         A = ExactMatrix.from_rows([[2, 4], [1, 0]])
-        assert kernel_image(A, [0], INTEGERS) == (1, SNFResult((2,), 1), [])
-        assert kernel_image(A, [0], RATIONALS) == (1, 1, [1])
-        assert kernel_image(A, [0], PrimeField(3)) == (1, 1, [1])
+        assert _kernel_image(A, [0], INTEGERS) == (1, SNFResult((2,), 1), [])
+        assert _kernel_image(A, [0], RATIONALS) == (1, 1, [1])
+        assert _kernel_image(A, [0], PrimeField(3)) == (1, 1, [1])
         # mod 2 the bad row vanishes
-        assert kernel_image(A, [0], PrimeField(2)) == (0, 1, [1])
+        assert _kernel_image(A, [0], PrimeField(2)) == (0, 1, [1])
 
     def test_no_rows_is_rank_and_smith_normal_form(self):
         A = ExactMatrix.from_rows([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
-        assert kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A), [0])
-        assert kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)), [0])
+        assert _kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A), [0])
+        assert _kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)), [0])
 
     def test_pivot_of_two(self):
         # 2 is a unit over Q, so its row is a pivot; over Z it is not
         A = ExactMatrix.from_rows([[2]])
-        assert kernel_image(A, (), RATIONALS) == (0, 1, [0])
-        assert kernel_image(A, (), INTEGERS) == (0, SNFResult((2,), 1), [])
+        assert _kernel_image(A, (), RATIONALS) == (0, 1, [0])
+        assert _kernel_image(A, (), INTEGERS) == (0, SNFResult((2,), 1), [])
 
     def test_clearing_a_triangle(self):
         # edges 01, 02, 12 of the triangle 012, and its vertices 0, 1, 2
         d2 = ExactMatrix.from_rows([[1], [-1], [1]])
         d1 = ExactMatrix.from_rows([[-1, -1, 0], [1, 0, -1], [0, 1, 1]])
         for coeff in (RATIONALS, PrimeField(2), PrimeField(3)):
-            _, img, pivots = kernel_image(d2, (), coeff)
+            _, img, pivots = _kernel_image(d2, (), coeff)
             assert img == 1 and len(pivots) == 1
-            assert kernel_image(d1, (), coeff, set(pivots))[:2] == (0, 2)
-        _, img, pivots = kernel_image(d2, (), INTEGERS)
+            assert _kernel_image(d1, (), coeff, set(pivots))[:2] == (0, 2)
+        _, img, pivots = _kernel_image(d2, (), INTEGERS)
         assert img == SNFResult((1,), 1) and len(pivots) == 1
-        assert kernel_image(d1, (), INTEGERS, set(pivots))[:2] == (
+        assert _kernel_image(d1, (), INTEGERS, set(pivots))[:2] == (
             0, SNFResult((1, 1), 2))
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_boundary_entries_need_no_reduction(p):
+    # `_boundary` writes -1 as it is; mod p the elimination gives what it
+    # gives on the reduced index, pivots included
+    X = catalog_build("S_RP2")
+    F = PrimeField(p)
+    for pb in (Perversity.zero(3), Perversity.top(3)):
+        data = _ChainData(X, pb)
+        for i in range(1, 4):
+            index = _boundary(data.allowed[i], data.faces[i - 1], i, ())
+            want = _kernel_image(boundary_matrix(data, i), data.bad[i], F)
+            assert kernel_image(index, data.bad[i], F) == want
 
 
 @settings(max_examples=80, deadline=None)
@@ -680,14 +705,14 @@ def test_kernel_image_matches_kernel_lattice(case):
     A = ExactMatrix.from_rows(rows)
     AR = _rows_of(A, R)
     K = integer_kernel_basis(AR)
-    r, snf, pivots = kernel_image(A, R, INTEGERS)
+    r, snf, pivots = _kernel_image(A, R, INTEGERS)
     assert (r, snf) == (A.ncols - len(K), smith_normal_form(_image_of(A, K)))
     # the pivot rows are distinct rows outside R, over Z at most the rank
     assert len(set(pivots)) == len(pivots) <= snf.rank
     assert not set(pivots) & R
     for coeff in (RATIONALS, PrimeField(3)):
         basis = K if coeff is RATIONALS else kernel_basis(AR, coeff)
-        r, img, pivots = kernel_image(A, R, coeff)
+        r, img, pivots = _kernel_image(A, R, coeff)
         assert (r, img) == (rank(AR, coeff), rank(_image_of(A, basis), coeff))
         # over a field every pivot is reported
         assert len(set(pivots)) == len(pivots) == img

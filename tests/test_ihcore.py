@@ -35,8 +35,9 @@ from ihcalc.simplicial import (
     cone,
     simplex_key,
     suspension,
+    vertex_ranks,
 )
-from lattice_reference import intersection_chain_complex
+from lattice_reference import boundary_matrix, index_matrix, intersection_chain_complex
 
 
 class TestPerversity:
@@ -181,14 +182,20 @@ def _reference_boundary(simplices, faces):
 
 
 def _reference_chain_data(X, pb):
-    """A[i], D[i] and bad[i] assembled simplex by simplex: faces sorted by
-    `simplex_key`, boundaries from `boundary_chain`."""
+    """faces[i], A[i], D[i] and bad[i] assembled simplex by simplex: faces
+    sorted by `simplex_key`, boundaries from `boundary_chain`."""
     faces = [sorted(X.complex.faces(i), key=simplex_key) for i in range(X.n + 1)]
     ok = [[allowable(s, i, pb, X) for s in faces[i]] for i in range(X.n + 1)]
     A = [[s for s, a in zip(faces[i], ok[i]) if a] for i in range(X.n + 1)]
     D = [None] + [_reference_boundary(A[i], faces[i - 1]) for i in range(1, X.n + 1)]
     bad = [None] + [[r for r, a in enumerate(ok[i - 1]) if not a] for i in range(1, X.n + 1)]
-    return A, D, bad
+    return faces, A, D, bad
+
+
+def _labels(X, tuples):
+    """The label simplices of `_ChainData` rank tuples of X."""
+    label = {r: v for v, r in vertex_ranks(X.complex).items()}
+    return [frozenset(map(label.__getitem__, t)) for t in tuples]
 
 
 def _relabelled_torus(label):
@@ -208,14 +215,62 @@ class TestChainAssembly:
         "T2_frozensets": lambda: _relabelled_torus(lambda v: frozenset([v, -1 - v])),
     }
 
+    @staticmethod
+    def _perversities(X):
+        return _all_perversities(X.n) if X.n >= 2 else [Perversity((), X.n)]
+
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_matches_reference(self, name):
         X = self.SPACES[name]()
-        for pb in _all_perversities(X.n) if X.n >= 2 else [Perversity((), X.n)]:
+        for pb in self._perversities(X):
             data = _ChainData(X, pb)
-            A, D, bad = _reference_chain_data(X, pb)
-            assert data.A == A
-            assert data.D[1:] == D[1:] and data.bad[1:] == bad[1:]
+            faces, A, D, bad = _reference_chain_data(X, pb)
+            assert [_labels(X, f) for f in data.faces] == faces
+            assert [_labels(X, a) for a in data.allowed] == A
+            assert [boundary_matrix(data, i) for i in range(1, X.n + 1)] == D[1:]
+            assert data.bad[1:] == bad[1:]
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_allowability_split(self, name):
+        # every simplex is in allowed[i] exactly when `allowable` says so,
+        # and its position is in bad[i + 1] exactly when it is not
+        X = self.SPACES[name]()
+        for pb in self._perversities(X):
+            data = _ChainData(X, pb)
+            for i in range(X.n + 1):
+                flags = [allowable(s, i, pb, X) for s in _labels(X, data.faces[i])]
+                assert data.allowed[i] == [t for t, a in zip(data.faces[i], flags) if a]
+                if i < X.n:
+                    assert data.bad[i + 1] == [r for r, a in enumerate(flags) if not a]
+
+    @pytest.mark.parametrize("name", sorted(SPACES))
+    def test_emitted_index_leaves_out_the_skipped_columns(self, name, monkeypatch):
+        # each boundary built for a table is the transpose of the reference
+        # boundary minus exactly the columns cleared by the degree above
+        X = self.SPACES[name]()
+        real = ihcore._boundary
+        emitted = []
+
+        def spy(allowed, faces, i, skip):
+            index = real(allowed, faces, i, skip)
+            emitted.append((i, set(skip), set(index[0]),
+                            index_matrix(index, len(faces), len(allowed))))
+            return index
+
+        monkeypatch.setattr(ihcore, "_boundary", spy)
+        for pb in self._perversities(X):
+            _, _, D, _ = _reference_chain_data(X, pb)
+            for coeff in (PrimeField(3), INTEGERS):
+                emitted.clear()
+                ih_homology(X, pb, coeff)
+                assert [i for i, *_ in emitted] == list(range(X.n, 0, -1))
+                for i, skip, columns, M in emitted:
+                    assert skip <= set(range(D[i].ncols))
+                    assert columns == set(range(D[i].ncols)) - skip
+                    assert M == ExactMatrix(D[i].nrows, D[i].ncols, {
+                        (r, c): v for (r, c), v in D[i].entries.items()
+                        if c not in skip})
+                assert not emitted[0][1]  # nothing is cleared in the top degree
 
     @pytest.mark.parametrize("name", ["S_RP2", "T2_tuples", "T2_frozensets"])
     def test_ordinary_homology_matrices(self, name, monkeypatch):
@@ -224,12 +279,12 @@ class TestChainAssembly:
         real = ihcore._homology_table
         monkeypatch.setattr(
             ihcore, "_homology_table",
-            lambda coeff, sizes, D, bad: seen.append(D) or real(coeff, sizes, D, bad),
+            lambda coeff, data: seen.append(data) or real(coeff, data),
         )
         ordinary_homology(K, PrimeField(3))
         faces = [sorted(K.faces(i), key=simplex_key) for i in range(K.dimension + 1)]
         want = [_reference_boundary(faces[i], faces[i - 1]) for i in range(1, len(faces))]
-        assert seen[0][1:] == want
+        assert [boundary_matrix(seen[0], i) for i in range(1, len(faces))] == want
 
 
 def _integral_homology_of(icc):
@@ -347,14 +402,16 @@ class TestSuspendedJ:
         assert _groups(t) == _suspension_oracle(self.J_GROUPS, n)
 
 
-def _bottom_up_table(coeff, sizes, D, bad):
+def _bottom_up_table(coeff, data):
     """`_homology_table` without clearing: one `kernel_image` per degree
     from degree 1 up, with every column of D[i] kept."""
-    n = len(sizes) - 1
+    n = data.n
     integral = coeff is INTEGERS
-    chains, image, tors = list(sizes), [0] * (n + 2), [()] * (n + 1)
+    chains = [len(a) for a in data.allowed]
+    image, tors = [0] * (n + 2), [()] * (n + 1)
     for i in range(1, n + 1):
-        lost, img, _ = kernel_image(D[i], bad[i], coeff)
+        index = ihcore._boundary(data.allowed[i], data.faces[i - 1], i, ())
+        lost, img, _ = kernel_image(index, data.bad[i], coeff)
         chains[i] -= lost
         image[i] = img.rank if integral else img
         tors[i - 1] = img.torsion if integral else ()
@@ -386,25 +443,30 @@ class TestClearing:
         X = self.SPACES[name]()
         for pb in _all_perversities(X.n):
             data = _ChainData(X, pb)
-            sizes = [len(a) for a in data.A]
             for coeff in CLEARING_RINGS:
-                want = _bottom_up_table(coeff, sizes, data.D, data.bad)
+                want = _bottom_up_table(coeff, data)
                 assert ih_homology(X, pb, coeff) == want
 
     @staticmethod
     def _left_out(monkeypatch, X, pb, coeff):
-        """(columns left out, image) of each `kernel_image` call, top down."""
+        """(columns `_boundary` left out, image of the `kernel_image` call
+        on that boundary), degree by degree, top down."""
         calls = []
-        real = ihcore.kernel_image
+        boundary, elimination = ihcore._boundary, ihcore.kernel_image
 
-        def spy(A, rows, coeff, skip=()):
-            out = real(A, rows, coeff, skip)
-            calls.append((len(skip), out[1]))
+        def boundary_spy(allowed, faces, i, skip):
+            calls.append([len(skip)])
+            return boundary(allowed, faces, i, skip)
+
+        def elimination_spy(index, rows, coeff):
+            out = elimination(index, rows, coeff)
+            calls[-1].append(out[1])
             return out
 
-        monkeypatch.setattr(ihcore, "kernel_image", spy)
+        monkeypatch.setattr(ihcore, "_boundary", boundary_spy)
+        monkeypatch.setattr(ihcore, "kernel_image", elimination_spy)
         ih_homology(X, pb, coeff)
-        return calls
+        return [tuple(call) for call in calls]
 
     def test_field_leaves_out_the_image_rank(self):
         X, pb = catalog_build("J_L3"), Perversity.lower_middle(4)

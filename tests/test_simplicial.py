@@ -121,6 +121,26 @@ def test_homogeneity_matches_facets(generators):
     assert rep.failures[: len(impure)] == impure
 
 
+@pytest.mark.parametrize("generators, failures", [
+    # a dangling edge on a triangle: the closure misses an edge
+    ([[0, 1, 2], [2, 3]], [[2, 3], [0, 1], [0, 2], [1, 2], [2, 3]]),
+    # a dangling triangle on a tetrahedron: it misses a triangle
+    ([[0, 1, 2, 3], [3, 4, 5]],
+     [[3, 4, 5], [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 4, 5]]),
+    # an isolated vertex beside a tetrahedron: it misses a vertex
+    ([[0, 1, 2, 3], [7]], [[7], [0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3]]),
+    # a dangling edge on the boundary of a tetrahedron
+    ([[0, 1, 2], [0, 1, 3], [0, 2, 3], [1, 2, 3], [3, 4]], [[3, 4], [3, 4]]),
+], ids=["edge-on-triangle", "triangle-on-3-complex", "vertex", "edge-on-sphere"])
+def test_impure_in_each_degree(generators, failures):
+    rep = verify_pseudomanifold(StratifiedComplex.trivial(build_complex(generators)))
+    assert not rep.dimensional_homogeneity and not rep.face_regularity
+    assert [sorted_vertices(f) for f in rep.failures] == failures
+    assert rep.failure_message() == (
+        "input is not a pseudomanifold: failed dimensional homogeneity"
+        f" and face regularity at {failures[0]}")
+
+
 class TestVerification:
     def test_sphere_all_flags(self):
         rep = verify_pseudomanifold(StratifiedComplex.trivial(sphere2()))

@@ -161,3 +161,33 @@ def test_kernel_image_is_the_only_entry_into_the_elimination():
     found = {(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
              for fn, _ in references_to(path.read_text(), ELIMINATION)}
     assert found == {("exactalg.py", "kernel_image"), ("exactalg.py", "_smith")}
+
+
+def names_in(source):
+    """Every name `source` reads, binds or imports, attribute names and
+    import aliases included."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.update(filter(None, (node.name, node.asname)))
+    return found
+
+
+def test_named_class_is_detected():
+    # imported under another name, read through a module, or called;
+    # a string or comment that mentions it does not count
+    assert "ExactMatrix" in names_in("from .exactalg import ExactMatrix as M\n")
+    assert "ExactMatrix" in names_in("def f(ea):\n    return ea.ExactMatrix(1, 1)\n")
+    assert "ExactMatrix" in names_in("D = ExactMatrix(2, 3)\n")
+    assert "ExactMatrix" not in names_in("# ExactMatrix\ndoc = 'ExactMatrix'\n")
+
+
+def test_table_path_builds_no_exact_matrix():
+    # `ihcore` builds each boundary straight into the index `kernel_image`
+    # pivots on; an ExactMatrix on the table path would be built and then
+    # re-keyed
+    assert "ExactMatrix" not in names_in((PACKAGE / "ihcore.py").read_text())
