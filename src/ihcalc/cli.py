@@ -157,6 +157,8 @@ def load_space_file(path):
 
 
 def _resolve_space(args):
+    """The space the arguments name, and under --strict its
+    `verify_pseudomanifold` report (else None), which must pass."""
     X = catalog_build(args.catalog) if args.catalog else load_space_file(args.space)
     if args.normalize_triangulation:
         size = sum(factorial(len(s)) for s in X.complex.facets())
@@ -167,11 +169,10 @@ def _resolve_space(args):
                 EXIT_PARSE,
             )
         X = barycentric_subdivision(X)
-    if args.strict:
-        rep = verify_pseudomanifold(X)
-        if not rep.is_pseudomanifold:
-            raise CliError(rep.failure_message(), EXIT_NOT_PSEUDOMANIFOLD)
-    return X
+    rep = verify_pseudomanifold(X) if args.strict else None
+    if rep and not rep.is_pseudomanifold:
+        raise CliError(rep.failure_message(), EXIT_NOT_PSEUDOMANIFOLD)
+    return X, rep
 
 
 def _emit(args, doc, lines):
@@ -195,7 +196,7 @@ def cmd_compute(args):
         table = catalog_table(args.catalog, pbar, coeff.label)
         source = f"catalog:{args.catalog} (formula)"
     else:
-        X = _resolve_space(args)
+        X, _ = _resolve_space(args)
         pbar = parse_perversity(args.perversity, X.n)
         table = ih_homology(X, pbar, coeff)
         source = f"catalog:{args.catalog}" if args.catalog else f"file:{args.space}"
@@ -208,12 +209,12 @@ def cmd_compute(args):
 
 
 def cmd_witt_check(args):
-    X = _resolve_space(args)
+    X, rep = _resolve_space(args)
     coeffs = [parse_coefficients(c) for c in args.coeff.split(",")]
     if INTEGERS in coeffs:
         raise CliError("the Witt condition is tested over fields", EXIT_PARSE)
     try:
-        reports = witt_condition_checks(X, coeffs, args.check_all_links)
+        reports = witt_condition_checks(X, coeffs, args.check_all_links, rep)
     except WittError as e:
         raise CliError(str(e), EXIT_NOT_PSEUDOMANIFOLD)
     name = args.catalog or args.space

@@ -5,23 +5,23 @@ Z_p uses integers mod p, F_{p^m} (at most 2^16 elements) uses
 logarithm and Zech logarithm tables built on first use, and the Smith
 normal form never leaves Z.  No floating point anywhere.  Ranks are
 taken in the prime field of the coefficients.  There is one elimination,
-and `kernel_image` is the only way into it: a pass of unit pivots taken
-sparsest column first, then Euclid steps on the core it leaves, then the
-rank, or over Z Smith's column step.  Mod p the unit pass is the whole
-rank; over Q the Euclid steps finish it.  Every homology table calls
-`kernel_image` on a boundary that `ihcore` builds straight into the
-index the elimination works on, the transpose of the matrix as sparse
-rows with a column index beside them; no `ExactMatrix` is made.
-`kernel_image` first runs the unit and Euclid pivots on a chosen set of
-rows, then finishes with the rank or the Smith normal form on the same
-index, and returns the rows it pivoted on, for clearing.  `rank` and
-`smith_normal_form` are `kernel_image` with no rows chosen, on the index
-`_index` builds of an `ExactMatrix`.  Primes must be below 2^64.
+and `kernel_image` is the only way into it: one pass over the columns
+of a matrix, each reduced by its lowest row (`_column_pass`), the
+standard column reduction of persistent homology.  Mod p a pivot empties
+the lowest entry it meets; over Q and Z a remainder swaps the column and
+the pivot, so the lowest entries run Euclid's algorithm by unimodular
+column operations.  The rows to clear are keyed after every other, so
+the pivots that end in them count the rank lost, and the others span
+the image of the kernel: over a field they give its rank, and over Z
+`_smith` reads its invariant factors off them.  Every homology table
+calls `kernel_image` on the columns of a boundary that `ihcore` streams
+one at a time; no `ExactMatrix` is made.  `rank` and
+`smith_normal_form` are `kernel_image` with no rows to clear, on the
+columns of an `ExactMatrix`.  Primes must be below 2^64.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
@@ -506,147 +506,96 @@ def prime_field(coeff):
     raise CoefficientError(f"unsupported coefficients {coeff!r}")
 
 
-def _index(entries, p):
-    """The index `kernel_image` takes of the matrix with these entries
-    {(r, c): v}: its transpose, ({c: {r: v}}, {r: {c: None}}), mod p if
-    p > 0."""
-    columns, rows = {}, {}
+def _columns(entries, ncols, p):
+    """The ncols columns of the matrix with these entries {(r, c): v}, as
+    {row: value} dicts, mod p if p > 0."""
+    columns = [{} for _ in range(ncols)]
     for (r, c), v in entries.items():
         if p:
             v %= p
-            if not v:
-                continue
-        columns.setdefault(c, {})[r] = v
-        rows.setdefault(r, {})[c] = None
-    return columns, rows
-
-
-def _add_row(rows, cols, src, dst, factor, p):
-    """Row dst += factor * row src (mod p when p is a prime), keeping the
-    column index in step."""
-    drow = rows[dst]
-    for c, v in rows[src].items():
-        nv = drow.get(c, 0) + factor * v
-        if p:
-            nv %= p
-        if nv:
-            drow[c] = nv
-            cols[c][dst] = None
-        else:
-            del drow[c]
-            del cols[c][dst]
-
-
-def _drop(rows, cols, pr, pc):
-    """Remove a pivot row pr and its cleared column pc from the index."""
-    for c in rows.pop(pr):
-        del cols[c][pr]
-    del cols[pc]
-
-
-def _unit_pivots(rows, cols, p, only=None):
-    """Eliminate unit pivots in place, sparsest column first (a lazy heap:
-    a stale count is pushed again) and the shortest row holding a unit in
-    it; return their columns in order.  Mod a prime p every nonzero entry
-    is a unit and they give the rank; for p == 0 the units are +-1 and a
-    core is left.  A pivot clears its column by row operations, then its
-    row and column are dropped: clearing the row by column operations
-    would touch no other row, so the pass also serves the Smith normal
-    form.  Given `only`, some of the columns, pivots are taken in it alone."""
-    if only is None:
-        heap = list(zip(map(len, cols.values()), cols))
-    else:
-        heap = [(len(cols[c]), c) for c in only]
-    heapq.heapify(heap)
-    pivots = []
-    while heap:
-        n, pc = heapq.heappop(heap)
-        col = cols.get(pc)
-        if not col:
-            continue
-        if len(col) != n:
-            heapq.heappush(heap, (len(col), pc))
-            continue
-        units = col if p else (r for r in col if rows[r][pc] in (1, -1))
-        pr = min(units, key=lambda r: (len(rows[r]), r), default=None)
-        if pr is None:
-            continue
-        inv = pow(rows[pr][pc], p - 2, p) if p else rows[pr][pc]
-        for r in list(col):
-            if r != pr:
-                _add_row(rows, cols, pr, r, -rows[r][pc] * inv, p)
-        _drop(rows, cols, pr, pc)
-        pivots.append(pc)
-    return pivots
+        if v:
+            columns[c][r] = v
+    return columns
 
 
 def rank(A: ExactMatrix, coeff) -> int:
     """Rank of A over a coefficient field: `kernel_image` with no rows
-    chosen, which ranks the transpose, of the same rank."""
+    to clear."""
     # prime_field refuses Z, which kernel_image would take
-    return kernel_image(_index(A.entries, prime_field(coeff).char), (), coeff)[1]
+    p = prime_field(coeff).char
+    return kernel_image(_columns(A.entries, A.ncols, p), A.nrows, coeff)[1]
 
 
-def _euclid(rows, cols, c):
-    """Clear the nonempty column c down to one row by integer row
-    operations, each round subtracting multiples of the entry of least
-    absolute value; return that row.  Over Q the entries of c lie in
-    (1/L)Z, L the common denominator, so this ends as it does over Z."""
-    col = cols[c]
-    while True:
-        pr = min(col, key=lambda r: (abs(rows[r][c]), len(rows[r]), r))
-        if len(col) == 1:
-            return pr
-        for r in list(col):
-            if r != pr:
-                _add_row(rows, cols, pr, r, -(rows[r][c] // rows[pr][c]), 0)
-
-
-def _euclid_pivots(rows, cols, only):
-    """Pivot on each column of `only` that still has entries, in
-    ascending order: `_euclid` leaves it one row, and that row and the
-    column are dropped; return those columns.  Each pivot is the only
-    entry left in its column, and no later step touches its row, so the
-    pivots are triangular with nonzero diagonal.  After the unit pass
-    mod p no column has entries."""
-    pivots = []
-    for c in sorted(only):
-        if cols.get(c):
-            _drop(rows, cols, _euclid(rows, cols, c), c)
-            pivots.append(c)
+def _column_pass(columns, p):
+    """{low: column}: the columns, {row: value} dicts, reduced one at a
+    time by their lowest (largest) row until each is empty or the pivot
+    at its low.  A column meeting the pivot at its low subtracts q times
+    it: mod a prime p, q = col[low] / pivot[low], which empties that
+    entry; over Q and Z, q = col[low] // pivot[low], and a remainder
+    left at the low swaps the column and the pivot, so the low entries
+    run Euclid's algorithm (a quotient of 0 is a swap alone).  Over Q
+    the entries lie in (1/L)Z for a common denominator L, so Euclid ends
+    there too.  Every step is a unimodular column operation, and the
+    pivots have distinct lows.  Mod p an entry is not reduced until it
+    is written, so the columns may hold any value that is not 0 mod p."""
+    pivots = {}
+    for col in columns:
+        while col:
+            low = max(col)
+            piv = pivots.get(low)
+            if piv is None:
+                pivots[low] = col
+                break
+            q = col[low] * pow(piv[low], -1, p) % p if p else col[low] // piv[low]
+            if q:
+                _subtract(col, q, piv, p)
+            if low in col:
+                pivots[low], col = col, piv
     return pivots
 
 
-def kernel_image(index, rows, coeff):
-    """(r, image, pivots) for a matrix A given by its transposed index
-    ({column c of A: {row r: value}}, {row r: {column c: None}}), the
-    rows R = `rows` of A, and K = ker A_R: r is the rank of A_R (over Q
-    when coeff is Z), image the rank of A(K) over a field, or over Z the
-    SNFResult of the lattice A(K & Z^ncols), and pivots the rows of A on
-    which the image phase took a pivot (over Z, only the +-1 pivots).
-    The index is used up.  Its values are ints, or Fractions over Q;
-    mod p they need no reduction if none is 0 mod p, since the
-    elimination reduces every value it writes: `ihcore._boundary` writes
-    +-1, and `_index` reduces an ExactMatrix for `rank`.
+def _subtract(col, q, piv, p):
+    """col -= q * piv in place, mod p if p > 0, dropping the zeros."""
+    for r, v in piv.items():
+        v = col.get(r, 0) - q * v
+        if p:
+            v %= p
+        if v:
+            col[r] = v
+        else:
+            del col[r]
 
-    Column operations on A are row operations on its transpose, which is
-    what is indexed.  Unit pivots are taken in the rows R only
-    (`_unit_pivots`); over Q and Z, Euclid steps then clear the core they
-    leave in R, and mod p none is left.  A pivot column of A is the only
-    column left with an entry in its pivot row, so no element of K uses
-    it, and it is dropped.  The operations are unimodular, so the
-    columns that remain span A(K) over Z as well, and the rank or the
-    Smith normal form finishes on the same index.  The rows pivoted on
-    serve clearing (see `ihcore._homology_table`)."""
+
+def kernel_image(columns, nrows, coeff):
+    """(r, image, pivots) for the matrix A whose columns are `columns`,
+    {row: value} dicts, with the rows R to clear keyed `nrows` and up,
+    after every other row, and K = ker A_R: r is the rank of A_R (over Q
+    when coeff is Z), image the rank of A(K) over a field, or over Z the
+    SNFResult of the lattice A(K & Z^ncols), and pivots the rows below
+    `nrows` on which a pivot of the image sits (over Z, only the +-1
+    pivots).  The columns are used up.  Their values are ints, or
+    Fractions over Q; mod p none may be 0 mod p (`_column_pass`):
+    `ihcore._boundary` streams +-1, and `_columns` reduces an
+    ExactMatrix for `rank`.
+
+    One pass (`_column_pass`) reduces every column by its lowest row.
+    The pivots whose low is in R have independent parts in R, and every
+    other pivot is 0 in R, since R sorts last: the first count the rank
+    of A_R.  The operations are unimodular, so the others span A(K), and
+    over Z the lattice A(K & Z^ncols).  Over a field they count its rank.
+    Over Z, `_smith` reads the invariant factors off them, and only the
+    pivots whose low entry is +-1 are reported.  Either way the reported
+    pivots are triangular on their lows with unit diagonal, which is
+    what clearing needs (see `ihcore._homology_table`)."""
     integral = isinstance(coeff, Integers)
-    p = 0 if integral else prime_field(coeff).char
-    idx, cols = index
-    bad = cols.keys() & set(rows)
-    count = len(_unit_pivots(idx, cols, p, only=bad) + _euclid_pivots(idx, cols, bad))
-    if integral:
-        return (count, *_smith(idx, cols))
-    pivots = _unit_pivots(idx, cols, p) + _euclid_pivots(idx, cols, cols)
-    return count, len(pivots), pivots
+    pivots = _column_pass(columns, 0 if integral else prime_field(coeff).char)
+    image = {low: col for low, col in pivots.items() if low < nrows}
+    lost = len(pivots) - len(image)
+    if not integral:
+        return lost, len(image), list(image)
+    units = {low: col for low, col in image.items() if col[low] in (1, -1)}
+    core = [col for low, col in image.items() if low not in units]
+    return lost, _smith(units, core), list(units)
 
 
 # --- Smith normal form -----------------------------------------------------
@@ -664,9 +613,9 @@ class SNFResult:
 
 def smith_normal_form(A: ExactMatrix) -> SNFResult:
     """Invariant factors d1 | d2 | ... of an integer matrix:
-    `kernel_image` with no rows chosen, which puts the transpose, of the
-    same Smith form, through `_smith`."""
-    return kernel_image(_index(_integer_entries(A), 0), (), INTEGERS)[1]
+    `kernel_image` with no rows to clear."""
+    columns = _columns(_integer_entries(A), A.ncols, 0)
+    return kernel_image(columns, A.nrows, INTEGERS)[1]
 
 
 def _integer_entries(A):
@@ -678,37 +627,48 @@ def _integer_entries(A):
     return {k: int(v) for k, v in A.entries.items()}
 
 
-def _smith(rows, cols):
-    """(SNFResult, the pivot columns of the unit pre-pass).
+def _smith(units, core):
+    """SNFResult of the lattice spanned by the pivots of `_column_pass`
+    over Z: `units`, {low: pivot} with low entry +-1, and the list
+    `core` of the others, which it uses up.
 
-    First eliminates +-1 pivots (`_unit_pivots`), each contributing an
-    invariant factor 1.  The remaining core is cleared a column at a
-    time, sparsest first: Euclid steps on rows (`_euclid`) leave one
-    entry g in it, and column operations reduce the rest of its row mod
-    g; a remainder becomes the next pivot column.  Invariant factors are
-    unique, so the pre-pass does not change the result."""
-    units = _unit_pivots(rows, cols, 0)
+    Each unit gives an invariant factor 1.  A core pivot first loses its
+    entries at the units' lows, highest first, by subtracting multiples
+    of those units, which touch only rows at or below their lows; then
+    row operations make the units unit vectors without touching the
+    core, which is left to put in Smith form.  That is done a column at
+    a time: Euclid steps along a row leave one column g there, and row
+    operations reduce the rest of that column mod g; a remainder is the
+    next row to take."""
+    for col in core:
+        while hit := col.keys() & units.keys():
+            u = max(hit)
+            _subtract(col, col[u] * units[u][u], units[u], 0)
     diag = [1] * len(units)
-    while True:
-        live = [c for c, col in cols.items() if col]
-        if not live:
-            break
-        c = min(live, key=lambda c: (len(cols[c]), c))
+    while core:
+        j = len(core) - 1
+        r = max(core[j])
         while True:
-            pr = _euclid(rows, cols, c)
-            row, g = rows[pr], rows[pr][c]
-            # column operations against column c, whose only entry is in
-            # row pr, reduce the rest of that row mod g and touch nothing else
-            for cc in [cc for cc in row if cc != c]:
-                if row[cc] % g:
-                    row[cc] %= g
+            piv, g = core[j], core[j][r]
+            for col in core:
+                if col is not piv and r in col and col[r] // g:
+                    _subtract(col, col[r] // g, piv, 0)
+            left = [k for k, col in enumerate(core) if col is not piv and r in col]
+            if left:
+                j = min(left, key=lambda k: abs(core[k][r]))
+                continue
+            # row operations against row r, whose only entry is g, reduce
+            # the rest of this column mod g and touch no other column
+            for s in [s for s in piv if s != r]:
+                if piv[s] % g:
+                    piv[s] %= g
                 else:
-                    del row[cc], cols[cc][pr]
-            if len(row) == 1:
+                    del piv[s]
+            if len(piv) == 1:
                 break
-            c = min((cc for cc in row if cc != c), key=lambda cc: abs(row[cc]))
+            r = min((s for s in piv if s != r), key=lambda s: abs(piv[s]))
         diag.append(abs(g))
-        _drop(rows, cols, pr, c)
+        del core[j]
 
     # repair the divisibility chain: (a, b) -> (gcd, lcm) keeps Z/a + Z/b,
     # and after one sweep each entry divides all later ones; 1s stay put
@@ -717,4 +677,4 @@ def _smith(rows, cols):
         for j in range(i + 1, len(tors)):
             g = gcd(tors[i], tors[j])
             tors[i], tors[j] = g, tors[i] * tors[j] // g
-    return SNFResult((1,) * (len(diag) - len(tors)) + tuple(tors), len(diag)), units
+    return SNFResult((1,) * (len(diag) - len(tors)) + tuple(tors), len(diag))

@@ -18,13 +18,15 @@ and, in bad[i], the rows of D[i] on the others.  `_homology_table` goes
 top down and makes one `exactalg.kernel_image` call per degree: column
 operations on D[i] clear its bad rows, and what is left spans the
 boundaries of the allowable chains, ranked over a field or put in Smith
-normal form over Z.  D[i] is built by `_boundary`, which takes the faces
-of each simplex from `itertools.combinations`, straight into the index
-`kernel_image` pivots on, and only once D[i + 1] has been eliminated:
-the columns of D[i] on the faces D[i + 1] pivoted on are never built
-(clearing).  `ordinary_homology` is the table of the trivial
-stratification, where every simplex is allowable.  The Witt and local
-torsion conditions both read `link_tables`, one table per distinct link.
+normal form over Z.  D[i] is streamed by `_boundary`, which takes the
+faces of each simplex from `itertools.combinations`, a column at a time
+with the bad rows keyed after every other, and only once D[i + 1] has
+been reduced: the columns of D[i] on the faces at which D[i + 1]'s image
+pivots have their lowest row are never built (clearing).
+`ordinary_homology` is the table of the trivial stratification, where
+every simplex is allowable.  The Witt and local torsion conditions both
+read `link_tables`, one table per distinct link of the strata that
+`stratum_links` walks.
 """
 
 from bisect import bisect_left
@@ -189,22 +191,22 @@ def _not_allowable(simplices, i, pbar, bounds):
     return bad
 
 
-def _boundary(allowed, faces, i, skip):
+def _boundary(allowed, faces, i, skip, bad):
     """The boundary from the span of the i-simplices `allowed` to the span
-    of `faces`, both rank tuples, as the index `kernel_image` takes:
-    ({column: {face row: +-1}}, {face row: {column: None}}), without the
-    columns in `skip`.  `combinations(t, i)` lists the faces of t
+    of `faces`, both rank tuples, as the columns `kernel_image` takes:
+    {row: +-1} for each simplex of `allowed` whose position is not in
+    `skip`, in order.  The row of a face is its position in `faces`,
+    plus len(faces) at the positions `bad`, so that those rows come
+    after every other.  `combinations(t, i)` lists the faces of t
     leaving out t[i], t[i - 1], ..., t[0]: the k-th has the sign
     (-1)^(i - k) of `boundary_chain`."""
-    row = {f: r for r, f in enumerate(faces)}.__getitem__
+    row = {f: r for r, f in enumerate(faces)}
+    for r in bad:
+        row[faces[r]] += len(faces)
+    row = row.__getitem__
     signs = [-1 if (i - k) % 2 else 1 for k in range(i + 1)]
-    columns, rows = {}, {}
-    for c, t in enumerate(allowed):
-        if c not in skip:
-            columns[c] = col = dict(zip(map(row, combinations(t, i)), signs))
-            for r in col:
-                rows.setdefault(r, {})[c] = None
-    return columns, rows
+    return (dict(zip(map(row, combinations(t, i)), signs))
+            for c, t in enumerate(allowed) if c not in skip)
 
 
 class _ChainData:
@@ -341,14 +343,14 @@ def _homology_table(coeff, data):
     Clearing (Chen and Kerber, "Persistent homology computation with a
     twist", 2011): the row of D[i + 1] on face r is column
     r - #{b in bad[i + 1] : b < r} of D[i], and D[i] is built without
-    the columns of the rows D[i + 1] pivoted on.  The pivot column b_s
-    of such a row s lies in the image, so it is an allowable cycle, and
-    the b_s are triangular on the pivot rows with units on the diagonal.
-    So the kernel of the bad rows of D[i] is the kernel on the other
-    columns plus the span of the b_s, which D[i] kills and the bad rows
-    do not see: neither the lost rank nor the image changes.  Over a
-    field every pivot counts; over Z only the +-1 pivots of the Smith
-    pre-pass do, so that the b_s span a direct summand."""
+    the columns of the rows s at which an image pivot b_s of D[i + 1]
+    has its lowest row.  b_s lies in the image, so it is an allowable
+    cycle, and the b_s are triangular on their lowest rows with units on
+    the diagonal.  So the kernel of the bad rows of D[i] is the kernel on
+    the other columns plus the span of the b_s, which D[i] kills and the
+    bad rows do not see: neither the lost rank nor the image changes.
+    Over a field every pivot counts; over Z only those with lowest entry
+    +-1 do, so that the b_s span a direct summand."""
     n = data.n
     integral = isinstance(coeff, Integers)
     if not integral:
@@ -358,9 +360,9 @@ def _homology_table(coeff, data):
     tors = [()] * (n + 1)
     skip = ()
     for i in range(n, 0, -1):
-        bad = data.bad[i]
-        index = _boundary(data.allowed[i], data.faces[i - 1], i, skip)
-        lost, img, pivots = kernel_image(index, bad, coeff)
+        bad, faces = data.bad[i], data.faces[i - 1]
+        columns = _boundary(data.allowed[i], faces, i, skip, bad)
+        lost, img, pivots = kernel_image(columns, len(faces), coeff)
         chains[i] -= lost
         if integral:
             image[i], tors[i - 1] = img.rank, img.torsion
@@ -437,25 +439,28 @@ class TorsionFreeReport:
         return [e for e in self.entries if e[3]]
 
 
-def link_tables(X, pbar, coeff, codims, every_link=False):
-    """For each component of each stratum whose codimension c is in
-    `codims`, in that order, yields (c, component, tables): the tables of
-    the links of its first simplex, or of every simplex when `every_link`,
-    each at `pbar` cut to the link's dimension.  Equal links, such as the
-    two poles of a suspension, share one table.  Raises SimplicialError
-    unless X's skeleta are full (`check_full_skeleta`)."""
+def stratum_links(X, codims, every_link=False):
+    """(c, component, links) for each component of each stratum whose
+    codimension c is in `codims`, in that order: the link of its first
+    simplex, or of every simplex when `every_link`.  Raises
+    SimplicialError unless X's skeleta are full (`check_full_skeleta`)."""
     check_full_skeleta(X)
+    return [(c, comp, [simplicial_link(X, s) for s in (comp if every_link else comp[:1])])
+            for c in codims for comp in stratum_components(X, X.n - c)]
+
+
+def link_tables(links, pbar, coeff):
+    """For each (c, component, links) of `stratum_links`, yields (c,
+    component, tables): the table over `coeff` of each link, at `pbar`
+    cut to the link's dimension.  Equal links, such as the two poles of
+    a suspension, share one table."""
     seen = {}
-    for c in codims:
-        for comp in stratum_components(X, X.n - c):
-            tables = []
-            for s in comp if every_link else comp[:1]:
-                link = simplicial_link(X, s)
-                if link not in seen:
-                    sub = Perversity(pbar.values[: max(link.n - 1, 0)], link.n)
-                    seen[link] = ih_homology(link, sub, coeff)
-                tables.append(seen[link])
-            yield c, comp, tables
+    for c, comp, ls in links:
+        for link in ls:
+            if link not in seen:
+                sub = Perversity(pbar.values[: max(link.n - 1, 0)], link.n)
+                seen[link] = ih_homology(link, sub, coeff)
+        yield c, comp, [seen[link] for link in ls]
 
 
 def torsion_free_check(X, pbar):
@@ -464,6 +469,7 @@ def torsion_free_check(X, pbar):
     torsion free in degree c - 2 - p(c)."""
     return TorsionFreeReport(entries=[
         (X.n - c, comp[0], deg, table.torsion_at(deg))
-        for c, comp, (table,) in link_tables(X, pbar, INTEGERS, range(X.n, 1, -1))
+        for c, comp, (table,) in link_tables(
+            stratum_links(X, range(X.n, 1, -1)), pbar, INTEGERS)
         for deg in [c - 2 - pbar(c)]
     ])

@@ -22,7 +22,7 @@ from .exactalg import (
     make_field,
     smallest_nonsquare,
 )
-from .ihcore import AbelianGroup, Perversity, link_tables
+from .ihcore import AbelianGroup, Perversity, link_tables, stratum_links
 from .simplicial import StratifiedComplex, sorted_vertices, verify_pseudomanifold
 
 
@@ -351,25 +351,29 @@ def witt_condition_check(X: StratifiedComplex, coeff, check_all_links=False):
     return witt_condition_checks(X, [coeff], check_all_links)[0]
 
 
-def witt_condition_checks(X: StratifiedComplex, coeffs, check_all_links=False):
+def witt_condition_checks(X: StratifiedComplex, coeffs, check_all_links=False,
+                          report=None):
     """One WittReport per field of `coeffs`, in order: middle-perversity
     vanishing in degree (c - 1) / 2 of the links, from
     `ihcore.link_tables`, of every stratum component of odd codimension
-    c >= 3, walked with the stratum dimension ascending.  X is verified
-    once for all the fields.  Raises WittError on Z, before any work,
-    and, naming what fails, on a non-pseudomanifold."""
+    c >= 3, walked with the stratum dimension ascending.  X is verified,
+    unless `report` is its `verify_pseudomanifold` report already, and
+    its strata and links are found, once for all the fields.  Raises
+    WittError on Z, before any work, and, naming what fails, on a
+    non-pseudomanifold."""
     if any(isinstance(coeff, Integers) for coeff in coeffs):
         raise WittError("the Witt condition is tested over fields")
-    rep = verify_pseudomanifold(X)
+    rep = report or verify_pseudomanifold(X)
     if not rep.is_pseudomanifold:
         raise WittError(rep.failure_message())
     n = X.n
     odd = range(n - 1 + n % 2, 2, -2)
     mbar = Perversity.lower_middle(n)
+    links = stratum_links(X, odd, check_all_links)
     reports = []
     for coeff in coeffs:
         checks = []
-        for c, comp, tables in link_tables(X, mbar, coeff, odd, check_all_links):
+        for c, comp, tables in link_tables(links, mbar, coeff):
             k = (c - 1) // 2
             dims = [t.dim(k) for t in tables]
             checks.append(

@@ -3,8 +3,8 @@ intersection chain complex, built by a fraction-free vector echelon and
 an xgcd lattice routine that the package does not use.  The tests hold
 its answers against the package's one elimination (`kernel_image`);
 `tests/test_source.py` checks that none of it is defined in the package
-again.  `index_matrix` turns the index the package's boundaries are
-built in back into an `ExactMatrix`, entry for entry."""
+again.  `stream_matrix` turns the columns the package's boundaries are
+streamed as back into an `ExactMatrix`, entry for entry."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -27,17 +27,18 @@ def col_dicts(A):
     return cols
 
 
-def index_matrix(index, nrows, ncols):
-    """The nrows x ncols ExactMatrix whose transposed index, as
-    `exactalg.kernel_image` takes it, is `index`: ({column: {row:
-    value}}, {row: {column: None}}).  Fails unless the row index lists
-    exactly the entries of the columns."""
-    columns, rows = index
-    entries = {(r, c): v for c, col in columns.items() for r, v in col.items()}
-    listed = {}
-    for r, c in entries:
-        listed.setdefault(r, {})[c] = None
-    assert rows == listed, "the row index does not mirror the columns"
+def stream_matrix(columns, nrows, ncols):
+    """The nrows x ncols ExactMatrix whose columns, in order, are
+    `columns`, {row: value} dicts as `ihcore._boundary` streams them:
+    a row keyed nrows + r is row r.  Fails unless there are ncols of
+    them and every key is below 2 nrows."""
+    columns = list(columns)
+    assert len(columns) == ncols, "the stream has the wrong number of columns"
+    entries = {}
+    for c, col in enumerate(columns):
+        for r, v in col.items():
+            assert 0 <= r < 2 * nrows, "a row key is out of range"
+            entries[(r - nrows if r >= nrows else r, c)] = v
     return ExactMatrix(nrows, ncols, entries)
 
 
@@ -45,7 +46,8 @@ def boundary_matrix(data, i):
     """D[i] of the `_ChainData` data, with every column, as an
     ExactMatrix: rows data.faces[i - 1], columns data.allowed[i]."""
     faces, allowed = data.faces[i - 1], data.allowed[i]
-    return index_matrix(_boundary(allowed, faces, i, ()), len(faces), len(allowed))
+    columns = _boundary(allowed, faces, i, (), data.bad[i])
+    return stream_matrix(columns, len(faces), len(allowed))
 
 
 def _sub_multiple(x, f, y, p):

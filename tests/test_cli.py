@@ -344,6 +344,25 @@ class TestWittCheck:
             "  F2^2: fail (stratum dim 0: middle IH dim 1; stratum dim 0: middle IH dim 1)",
         ]
 
+    def test_strict_space_is_verified_once(self, capsys, monkeypatch):
+        # the report --strict makes is the one the Witt check reads
+        from ihcalc import witt
+        catalog_build("SJ_L3")
+        calls = []
+        for module in (cli, witt):
+            real = module.verify_pseudomanifold
+            monkeypatch.setattr(module, "verify_pseudomanifold",
+                                lambda X, real=real: calls.append(X) or real(X))
+        assert main(["witt-check", "--catalog", "SJ_L3",
+                     "--coeff", "Q,Zp:3,Fq:3:2", "--strict"]) == 0
+        assert len(calls) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            "Witt condition for SJ_L3 (oriented=True, irreducible=True)",
+            "  Q: pass (stratum dim 0: middle IH dim 0; stratum dim 0: middle IH dim 0)",
+            "  Z3: fail (stratum dim 0: middle IH dim 2; stratum dim 0: middle IH dim 2)",
+            "  F3^2: fail (stratum dim 0: middle IH dim 2; stratum dim 0: middle IH dim 2)",
+        ]
+
     def test_integral_rejected(self, capsys):
         assert main(["witt-check", "--catalog", "S_RP2", "--coeff", "Z"]) == 2
 

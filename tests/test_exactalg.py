@@ -15,7 +15,6 @@ from ihcalc.exactalg import (
     INTEGERS,
     PrimeField,
     RATIONALS,
-    _index,
     _poly_mulmod,
     SNFResult,
     is_prime,
@@ -260,8 +259,7 @@ class TestRank:
             [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1, 1)]]
         )
         assert rank(A, RATIONALS) == 1
-        # Fraction(1) and Fraction(-1) are unit pivots; the rest is a
-        # Fraction core for the echelon routine
+        # Fraction entries over Q: Euclid runs on them as it does on ints
         A = ExactMatrix.from_rows(
             [
                 [Fraction(1), Fraction(1, 2), 0, Fraction(2, 3)],
@@ -404,13 +402,14 @@ class TestSmithNormalForm:
             assert smith_normal_form(A).invariant_factors == want
 
     def test_unit_prepass_leaves_nonunit_core(self):
-        # the +-1 pivots clear the first column; the core diag(-2, 3) has
-        # no unit entry and goes through the general loop
+        # column 0 is a pivot with low entry 1; column 1 plus it is
+        # (2, 0, 0), and with (0, 0, 3) the core diag(2, 3) has no +-1
+        # low entry and goes through the Smith loop
         A = ExactMatrix.from_rows([[1, 1, 0], [1, -1, 0], [0, 0, 3]])
         assert smith_normal_form(A).invariant_factors == (1, 1, 6)
 
     def test_j_l3_second_boundary_torsion(self):
-        # D_2 of L(3,1) x S1: sparse, almost all unit pivots, torsion Z/3
+        # D_2 of L(3,1) x S1: sparse, almost all pivots +-1, torsion Z/3
         K = catalog_build("J_L3").complex
         edges = {e: r for r, e in enumerate(sorted(K.faces(1), key=simplex_key))}
         entries = {}
@@ -539,7 +538,7 @@ def test_rank_matches_echelon_on_sparse_matrices(A):
     st.fractions(min_value=-4, max_value=4, max_denominator=6),
 )))
 def test_rank_matches_echelon_on_fraction_matrices(A):
-    # over Q the Euclid steps run on Fraction entries, where the echelon
+    # over Q Euclid's swaps run on Fraction entries, where the echelon
     # reference clears their denominators first
     assert (rank(A, RATIONALS) == len(_echelon(_sparse_rows(A), 0)[0])
             == dense_field_rank(A, RATIONALS))
@@ -630,11 +629,18 @@ def _image_of(A, vectors):
 
 
 def _kernel_image(A, rows, coeff, skip=()):
-    """`kernel_image` on the index of A without the columns in `skip`,
-    built as `rank` and `smith_normal_form` build it."""
+    """`kernel_image` on the columns of A not in `skip`, the rows in
+    `rows` keyed after every other as `ihcore._boundary` keys them, and
+    reduced mod p as `rank` reduces them."""
     p = 0 if coeff is INTEGERS else prime_field(coeff).char
-    entries = {(r, c): v for (r, c), v in A.entries.items() if c not in skip}
-    return kernel_image(_index(entries, p), rows, coeff)
+    columns = [{} for _ in range(A.ncols)]
+    for (r, c), v in A.entries.items():
+        if p:
+            v %= p
+        if v:
+            columns[c][r + A.nrows if r in rows else r] = v
+    kept = [col for c, col in enumerate(columns) if c not in skip]
+    return kernel_image(kept, A.nrows, coeff)
 
 
 class TestKernelImage:
@@ -650,14 +656,37 @@ class TestKernelImage:
 
     def test_no_rows_is_rank_and_smith_normal_form(self):
         A = ExactMatrix.from_rows([[2, 0, 1], [0, 2, 1], [2, 2, 2]])
-        assert _kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A), [0])
-        assert _kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)), [0])
+        # the one pivot reported is the low of a reduced column: over Z
+        # column 2 minus column 0 is (-1, 1, 0), whose low entry is 1;
+        # mod 2 column 2 is (1, 1, 0) as it stands
+        assert _kernel_image(A, (), INTEGERS) == (0, smith_normal_form(A), [1])
+        assert _kernel_image(A, (), PrimeField(2)) == (0, rank(A, PrimeField(2)), [1])
 
     def test_pivot_of_two(self):
         # 2 is a unit over Q, so its row is a pivot; over Z it is not
         A = ExactMatrix.from_rows([[2]])
         assert _kernel_image(A, (), RATIONALS) == (0, 1, [0])
         assert _kernel_image(A, (), INTEGERS) == (0, SNFResult((2,), 1), [])
+
+    def test_zero_quotient_is_a_swap(self):
+        # 1 // 3 is 0: the column (1) swaps with the pivot (3) before any
+        # subtraction, and 3 // 1 then empties it
+        A = ExactMatrix.from_rows([[3, 1]])
+        assert smith_normal_form(A) == SNFResult((1,), 1)
+        assert rank(A, RATIONALS) == 1
+        assert _kernel_image(A, (), INTEGERS) == (0, SNFResult((1,), 1), [0])
+        assert _kernel_image(A, (), RATIONALS) == (0, 1, [0])
+
+    def test_fraction_columns_over_q(self):
+        # Euclid on Fraction entries at the low row 1: 1/6 // 1/4 is 0, a
+        # swap; 1/4 - 1/6 leaves 1/12, a swap; 1/6 is twice 1/12
+        A = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+                                   [Fraction(1, 4), Fraction(1, 6)]])
+        assert rank(A, RATIONALS) == 1
+        A = ExactMatrix.from_rows([[Fraction(1, 2), Fraction(1, 3)],
+                                   [Fraction(1, 4), Fraction(1, 5)]])
+        assert rank(A, RATIONALS) == 2
+        assert _kernel_image(A, [1], RATIONALS) == (1, 1, [0])
 
     def test_clearing_a_triangle(self):
         # edges 01, 02, 12 of the triangle 012, and its vertices 0, 1, 2
@@ -675,16 +704,17 @@ class TestKernelImage:
 
 @pytest.mark.parametrize("p", [2, 3])
 def test_boundary_entries_need_no_reduction(p):
-    # `_boundary` writes -1 as it is; mod p the elimination gives what it
-    # gives on the reduced index, pivots included
+    # `_boundary` streams -1 as it is; mod p the elimination gives what it
+    # gives on the reduced columns, pivots included
     X = catalog_build("S_RP2")
     F = PrimeField(p)
     for pb in (Perversity.zero(3), Perversity.top(3)):
         data = _ChainData(X, pb)
         for i in range(1, 4):
-            index = _boundary(data.allowed[i], data.faces[i - 1], i, ())
-            want = _kernel_image(boundary_matrix(data, i), data.bad[i], F)
-            assert kernel_image(index, data.bad[i], F) == want
+            faces, bad = data.faces[i - 1], data.bad[i]
+            columns = _boundary(data.allowed[i], faces, i, (), bad)
+            want = _kernel_image(boundary_matrix(data, i), bad, F)
+            assert kernel_image(columns, len(faces), F) == want
 
 
 @settings(max_examples=80, deadline=None)

@@ -37,7 +37,7 @@ from ihcalc.simplicial import (
     suspension,
     vertex_ranks,
 )
-from lattice_reference import boundary_matrix, index_matrix, intersection_chain_complex
+from lattice_reference import boundary_matrix, intersection_chain_complex, stream_matrix
 
 
 class TestPerversity:
@@ -245,17 +245,25 @@ class TestChainAssembly:
 
     @pytest.mark.parametrize("name", sorted(SPACES))
     def test_emitted_index_leaves_out_the_skipped_columns(self, name, monkeypatch):
-        # each boundary built for a table is the transpose of the reference
-        # boundary minus exactly the columns cleared by the degree above
+        # each boundary streamed for a table is the reference boundary
+        # minus exactly the columns cleared by the degree above, with the
+        # rows of non-allowable faces keyed after every other row
         X = self.SPACES[name]()
         real = ihcore._boundary
         emitted = []
 
-        def spy(allowed, faces, i, skip):
-            index = real(allowed, faces, i, skip)
-            emitted.append((i, set(skip), set(index[0]),
-                            index_matrix(index, len(faces), len(allowed))))
-            return index
+        def spy(allowed, faces, i, skip, bad):
+            columns = list(real(allowed, faces, i, skip, bad))
+            kept = [c for c in range(len(allowed)) if c not in skip]
+            keys, rows = {r for col in columns for r in col}, set(bad)
+            # a row is keyed len(faces) up exactly when it is in `bad`
+            keyed_last = all((r >= len(faces)) == (r % len(faces) in rows) for r in keys)
+            full = [{} for _ in allowed]
+            for c, col in zip(kept, columns):
+                full[c] = col
+            emitted.append((i, set(skip), len(columns) == len(kept), keyed_last,
+                            stream_matrix(full, len(faces), len(allowed))))
+            return iter(columns)
 
         monkeypatch.setattr(ihcore, "_boundary", spy)
         for pb in self._perversities(X):
@@ -264,9 +272,9 @@ class TestChainAssembly:
                 emitted.clear()
                 ih_homology(X, pb, coeff)
                 assert [i for i, *_ in emitted] == list(range(X.n, 0, -1))
-                for i, skip, columns, M in emitted:
+                for i, skip, one_per_column, keyed_last, M in emitted:
                     assert skip <= set(range(D[i].ncols))
-                    assert columns == set(range(D[i].ncols)) - skip
+                    assert one_per_column and keyed_last
                     assert M == ExactMatrix(D[i].nrows, D[i].ncols, {
                         (r, c): v for (r, c), v in D[i].entries.items()
                         if c not in skip})
@@ -410,8 +418,9 @@ def _bottom_up_table(coeff, data):
     chains = [len(a) for a in data.allowed]
     image, tors = [0] * (n + 2), [()] * (n + 1)
     for i in range(1, n + 1):
-        index = ihcore._boundary(data.allowed[i], data.faces[i - 1], i, ())
-        lost, img, _ = kernel_image(index, data.bad[i], coeff)
+        faces = data.faces[i - 1]
+        columns = ihcore._boundary(data.allowed[i], faces, i, (), data.bad[i])
+        lost, img, _ = kernel_image(columns, len(faces), coeff)
         chains[i] -= lost
         image[i] = img.rank if integral else img
         tors[i - 1] = img.torsion if integral else ()
@@ -454,12 +463,12 @@ class TestClearing:
         calls = []
         boundary, elimination = ihcore._boundary, ihcore.kernel_image
 
-        def boundary_spy(allowed, faces, i, skip):
+        def boundary_spy(allowed, faces, i, skip, bad):
             calls.append([len(skip)])
-            return boundary(allowed, faces, i, skip)
+            return boundary(allowed, faces, i, skip, bad)
 
-        def elimination_spy(index, rows, coeff):
-            out = elimination(index, rows, coeff)
+        def elimination_spy(columns, nrows, coeff):
+            out = elimination(columns, nrows, coeff)
             calls[-1].append(out[1])
             return out
 
@@ -470,8 +479,8 @@ class TestClearing:
 
     def test_field_leaves_out_the_image_rank(self):
         X, pb = catalog_build("J_L3"), Perversity.lower_middle(4)
-        # over Q the Euclid steps take pivots beyond the +-1 ones, and
-        # clearing leaves those faces out too
+        # over Q every pivot counts, not only those with low entry +-1,
+        # and clearing leaves those faces out too
         for coeff, want in ((PrimeField(3), [0, 1247, 1871, 737]),
                             (RATIONALS, [0, 1247, 1872, 738])):
             with pytest.MonkeyPatch.context() as mp:

@@ -140,18 +140,18 @@ def references_to(source, names):
     return sorted(found, key=lambda x: (str(x[0]), x[1]))
 
 
-ELIMINATION = {"_unit_pivots", "_euclid_pivots", "_smith"}
+ELIMINATION = {"_column_pass", "_smith"}
 
 
 def test_reference_to_the_elimination_is_detected():
     source = (
-        "def kernel_image(A):\n    return _smith(A)\n\n"
-        "def rank(A):\n    step = _unit_pivots\n    return step(A) + ea._euclid_pivots(A)\n\n"
+        "def kernel_image(A):\n    return _smith(_column_pass(A))\n\n"
+        "def rank(A):\n    step = _column_pass\n    return len(step(A)) + ea._smith(A)\n\n"
         "PASSES = [_smith]\n"
     )
     assert references_to(source, ELIMINATION) == [
-        (None, "_smith"), ("kernel_image", "_smith"),
-        ("rank", "_euclid_pivots"), ("rank", "_unit_pivots"),
+        (None, "_smith"), ("kernel_image", "_column_pass"), ("kernel_image", "_smith"),
+        ("rank", "_column_pass"), ("rank", "_smith"),
     ]
 
 
@@ -160,7 +160,7 @@ def test_kernel_image_is_the_only_entry_into_the_elimination():
     # cannot drift from the tables
     found = {(path.name, fn) for path in sorted(PACKAGE.glob("*.py"))
              for fn, _ in references_to(path.read_text(), ELIMINATION)}
-    assert found == {("exactalg.py", "kernel_image"), ("exactalg.py", "_smith")}
+    assert found == {("exactalg.py", "kernel_image")}
 
 
 def names_in(source):
@@ -187,7 +187,7 @@ def test_named_class_is_detected():
 
 
 def test_table_path_builds_no_exact_matrix():
-    # `ihcore` builds each boundary straight into the index `kernel_image`
-    # pivots on; an ExactMatrix on the table path would be built and then
-    # re-keyed
+    # `ihcore` streams the columns of each boundary straight to
+    # `kernel_image`; an ExactMatrix on the table path would be built and
+    # then taken apart again
     assert "ExactMatrix" not in names_in((PACKAGE / "ihcore.py").read_text())

@@ -34,6 +34,7 @@ from ihcalc.witt import (
     witt_class_add,
     witt_class_of_catalog_space,
     witt_condition_check,
+    witt_condition_checks,
     witt_group,
     witt_group_elements,
     witt_identity,
@@ -549,6 +550,26 @@ class TestConditionCheck:
                       link_dim_checked=dim, passes=ok, all_links_agree=True)
             for rep, dim, ok in want
         ]
+
+    def test_strata_and_links_are_found_once_for_all_fields(self, monkeypatch):
+        # SJ_L3 has odd codimensions 5 and 3, and two point strata (the
+        # poles) of codimension 5: one walk serves Q, Z3 and F9
+        X = catalog_build("SJ_L3")
+        coeffs = [RATIONALS, Z3, F9]
+        want = [witt_condition_check(X, coeff) for coeff in coeffs]
+        calls = {"stratum_components": 0, "simplicial_link": 0}
+        for name in calls:
+            real = getattr(ihcore, name)
+
+            def spy(*args, name=name, real=real):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(ihcore, name, spy)
+        reports = witt_condition_checks(X, coeffs)
+        assert calls == {"stratum_components": 2, "simplicial_link": 2}
+        assert reports == want
+        assert [r.passes for r in reports] == [True, False, False]
 
     @pytest.mark.parametrize("name", ["S_RP2", "SS_RP2"])
     def test_all_links_give_the_same_verdicts(self, name):
