@@ -49,12 +49,6 @@ class CatalogError(ValueError):
     pass
 
 
-def _sd_raw(K):
-    """Barycentric subdivision keeping simplices as vertex labels, so
-    simplicial maps of the original induce vertex maps of the result."""
-    return _sd_complex(K, {s: s for s in K.all_simplices()})
-
-
 def _require(cond, name, what):
     if not cond:
         raise CatalogError(f"{name}: build-time validation failed ({what})")
@@ -80,10 +74,8 @@ def _certify(K, name, ranks, torsion, orientable=True):
 
 
 def _simplify(Q):
-    """A glued complex relabelled, edge-contracted, and relabelled again."""
-    QK = relabel_canonical(Q)
-    C = relabel_canonical(contract_edges(QK))
-    return C
+    """A glued complex edge-contracted and relabelled to 0..V-1."""
+    return relabel_canonical(contract_edges(Q))
 
 
 # --- base triangulations -----------------------------------------------------
@@ -131,12 +123,15 @@ def _build_genus2():
 # --- quotient constructions ---------------------------------------------------
 
 
-def _glue(vertices, f):
-    """{v: its image} for vertices of a raw subdivision, under the map f
-    of the original labels."""
-    def lift(y):
-        return frozenset(map(lift, y)) if isinstance(y, frozenset) else f(y)
-    return {v: lift(v) for v in vertices}
+def _subdivide(K, glue):
+    """sd(K), vertex i standing for the i-th simplex of K in `simplex_key`
+    order, and the vertex map induced by `glue`, a vertex map on some
+    vertices of K: a simplex inside glue's domain goes to its image."""
+    sd, simplices = _sd_complex(K)
+    index = {s: i for i, s in enumerate(simplices)}
+    image, domain = glue.__getitem__, glue.keys()
+    return sd, {i: index[frozenset(map(image, s))]
+                for i, s in enumerate(simplices) if s <= domain}
 
 
 def _lens_space(p):
@@ -145,11 +140,10 @@ def _lens_space(p):
     simplicial after two subdivisions."""
     N, S = "N", "S"
     K = SimplicialComplex.from_maximal([{N, S, i, (i + 1) % p} for i in range(p)])
-    top = SimplicialComplex.from_maximal([{N, i, (i + 1) % p} for i in range(p)])
+    glue = {N: S} | {i: (i + 1) % p for i in range(p)}
     for _ in range(2):
-        K, top = _sd_raw(K), _sd_raw(top)
-    Q = quotient(K, _glue(top.vertices, lambda y: S if y == N else (y + 1) % p))
-    return _certify(_simplify(Q), f"L{p}_1", (1, 0, 0, 1), ((), (p,), (), ()))
+        K, glue = _subdivide(K, glue)
+    return _certify(_simplify(quotient(K, glue)), f"L{p}_1", (1, 0, 0, 1), ((), (p,), (), ()))
 
 
 def _build_L2():
@@ -159,9 +153,8 @@ def _build_L2():
     def square(t):
         return [frozenset([(t, i), (t, (i + 1) % 4)]) for i in range(4)]
 
-    K = _sd_raw(SimplicialComplex.from_maximal(
-        [e1 | e2 for e1 in square("a") for e2 in square("b")]))
-    Q = quotient(K, _glue(K.vertices, lambda y: (y[0], (y[1] + 2) % 4)))
+    K = SimplicialComplex.from_maximal([e1 | e2 for e1 in square("a") for e2 in square("b")])
+    Q = quotient(*_subdivide(K, {y: (y[0], (y[1] + 2) % 4) for y in K.vertices}))
     return _certify(_simplify(Q), "L2_1", (1, 0, 0, 1), ((), (2,), (), ()))
 
 
@@ -171,8 +164,8 @@ def _build_CP2():
     subdivision makes the involution simplicial."""
     S2 = catalog_build("S2").complex
     a, b = (S2.relabel({i: (t, i) for i in range(4)}) for t in "ab")
-    K = _sd_raw(product_complex(a, b))
-    Q = quotient(K, _glue(K.vertices, lambda y: (("a", y[1][1]), ("b", y[0][1]))))
+    K = product_complex(a, b)
+    Q = quotient(*_subdivide(K, {y: (("a", y[1][1]), ("b", y[0][1])) for y in K.vertices}))
     return _certify(_simplify(Q), "CP2", (1, 0, 1, 0, 1), ((), (), (), (), ()))
 
 

@@ -1,16 +1,16 @@
 """Finite simplicial complexes with stratifications.
 
 Simplices are frozensets of hashable vertex labels.  Integer labels are
-the common case (and the only case the CLI file format produces), but
-constructions like products and subdivisions temporarily use tuples or
-frozensets as labels; `relabel_canonical` flattens any complex back to
-integer labels deterministically.  Hot loops key simplices by rank tuples
-instead (`ranked_simplices`): the ascending vertex ranks in the canonical
-label order, which compare like `simplex_key`.
+the common case (the only one the CLI file format and subdivisions
+produce), but products and connected sums temporarily use tuples as
+labels; `relabel_canonical` flattens any complex back to integer labels
+deterministically.  Hot loops key simplices by rank tuples instead
+(`ranked_simplices`): the ascending vertex ranks in the canonical label
+order, which compare like `simplex_key`.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, permutations, repeat
+from itertools import chain, combinations, repeat
 
 
 class SimplicialError(ValueError):
@@ -568,34 +568,34 @@ def simplicial_link(X: StratifiedComplex, s):
     return StratifiedComplex(L, skeleta, formal)
 
 
-def _sd_complex(K, label):
-    facets = []
-    for f in K.facets():
-        vs = sorted_vertices(f)
-        for perm in permutations(vs):
-            flag = []
-            cur = frozenset()
-            for v in perm:
-                cur = cur | {v}
-                flag.append(label[cur])
-            facets.append(frozenset(flag))
-    return SimplicialComplex.from_maximal(facets)
+def _sd_complex(K):
+    """(sd(K), the simplices of K in `simplex_key` order), vertex i of
+    sd(K) standing for the i-th simplex.  A simplex of sd(K) is a chain
+    of faces, made once, from the chains below its largest face."""
+    ranked = ranked_simplices(K.all_simplices(), vertex_ranks(K))
+    chains, by_dim = {}, {d: [] for d in range(K.dimension, -1, -1)}
+    for i, (t, _) in sorted(enumerate(ranked), key=lambda it: len(it[1][0])):
+        top = frozenset([i])
+        chains[t] = [top] + [c | top for k in range(1, len(t))
+                             for u in combinations(t, k) for c in chains[u]]
+        for c in chains[t]:
+            by_dim[len(c) - 1].append(c)
+    return SimplicialComplex(by_dim), [s for _, s in ranked]
 
 
 def barycentric_subdivision(X):
     """Barycentric subdivision; skeleta subdivide along.  Accepts either
     a plain complex or a stratified one.  New vertex labels are integers
-    assigned in canonical order of the old simplices."""
+    assigned in canonical order of the old simplices.  sd(X^i) is the
+    full subcomplex of sd(X) on the vertices of the simplices of X^i."""
     K = X.complex if isinstance(X, StratifiedComplex) else X
-    label = {
-        s: i
-        for i, s in enumerate(sorted(K.all_simplices(), key=simplex_key))
-    }
-    sd = _sd_complex(K, label)
+    sd, simplices = _sd_complex(K)
     if not isinstance(X, StratifiedComplex):
         return sd
-    skeleta = [_sd_complex(X.skeleton(i), label) for i in range(X.n)] + [sd]
-    return StratifiedComplex(sd, skeleta, X.n)
+    verts = [{k for k, s in enumerate(simplices) if s in X.skeleton(i)} for i in range(X.n)]
+    skeleta = [SimplicialComplex({d: [s for s in sd.faces(d) if s <= vs] for d in range(i + 1)})
+               for i, vs in enumerate(verts)]
+    return StratifiedComplex(sd, skeleta + [sd], X.n)
 
 
 def quotient(K, glue):
@@ -708,47 +708,54 @@ def contract_edges(K):
     simplices = set(K.all_simplices())
     rank = vertex_ranks(K)
     order = list(rank)
-    idx = {}
+    star, nbr = {v: set() for v in order}, {v: set() for v in order}
     for s in simplices:
         for v in s:
-            idx.setdefault(v, set()).add(s)
+            star[v].add(s)
+    for a, b in K.faces(1):
+        nbr[a].add(b)
+        nbr[b].add(a)
 
     changed = True
     while changed:
         changed = False
         # contraction only removes vertices, so the ranks of the
         # survivors stay valid and rank pairs give the canonical order
-        edges = ranked_simplices([s for s in simplices if len(s) == 2], rank)
-        for (ra, rb), e in edges:
-            if e not in simplices:
-                continue
+        edges = sorted((rank[a], rank[b])
+                       for a, ns in nbr.items() for b in ns if rank[a] < rank[b])
+        for ra, rb in edges:
             a, b = order[ra], order[rb]
+            if b not in nbr.get(a, ()):
+                continue
             # The link condition lk(a) & lk(b) == lk(ab) is symmetric in a
             # and b.  With x the endpoint of smaller star and y the other,
             # it fails exactly when some s in star(x) avoiding y has
-            # (s - x) + y in the complex but not s + y.
-            x, y = (a, b) if len(idx[a]) <= len(idx[b]) else (b, a)
-            yy = {y}
-            if any(
-                y not in s
-                and (s - {x}) | yy in simplices
-                and s | yy not in simplices
-                for s in idx[x]
-            ):
+            # (s - x) + y in the complex but not s + y; such an s lies
+            # among y's neighbours.
+            x, y = (a, b) if len(star[a]) <= len(star[b]) else (b, a)
+            xx, yy = {x}, {y}
+            if any(s | yy not in simplices and (s - xx) | yy in simplices
+                   for s in filter(nbr[y].issuperset, star[x])):
                 continue
-            star_b = list(idx[b])
+            # star(b) goes, and what of it avoids a moves onto a
+            aa, bb = {a}, {b}
+            star_b = star.pop(b)
+            moved = star_b - star[a]
+            simplices -= star_b
             for s in star_b:
-                simplices.discard(s)
-                for v in s:
-                    idx[v].discard(s)
-                t = frozenset(a if v == b else v for v in s)
-                if len(t) == len(s) and t not in simplices:
+                for v in s - bb:
+                    star[v].discard(s)
+            for s in moved:
+                t = s - bb | aa
+                if t not in simplices:
                     simplices.add(t)
                     for v in t:
-                        idx.setdefault(v, set()).add(t)
-            idx.pop(b, None)
+                        star[v].add(t)
+            for c in nbr.pop(b) - aa:
+                nbr[c].discard(b)
+                nbr[c].add(a)
+                nbr[a].add(c)
+            nbr[a].discard(b)
             changed = True
-    by_dim = {}
-    for s in simplices:
-        by_dim.setdefault(len(s) - 1, set()).add(s)
-    return SimplicialComplex(by_dim)
+    return SimplicialComplex({d: [s for s in simplices if len(s) == d + 1]
+                              for d in range(K.dimension, -1, -1)})

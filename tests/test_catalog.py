@@ -225,6 +225,25 @@ class TestLensSpaces:
         assert a.as_dict()["degrees"] == b.as_dict()["degrees"]
 
 
+@pytest.mark.parametrize("name", ["Klein", "L2_1", "L3_1", "L5_1", "CP2"])
+def test_glued_builds_work_on_integer_vertices(name, monkeypatch):
+    # nested labels (frozensets of frozensets) made every quotient and
+    # contraction hash them over and over; they must not come back
+    seen = []
+    for fn in ("quotient", "contract_edges"):
+        def spy(K, *glue, fn=fn, real=getattr(catalog, fn)):
+            seen.append((fn, K, glue))
+            return real(K, *glue)
+        monkeypatch.setattr(catalog, fn, spy)
+    catalog_entry(name).build()
+    called = [fn for fn, _, _ in seen]
+    assert called == (["quotient"] if name == "Klein" else ["quotient", "contract_edges"])
+    for _, K, glue in seen:
+        assert {type(v) for v in K.vertices} == {int}
+        for g in glue:
+            assert {type(v) for v in (*g, *g.values())} == {int}
+
+
 class TestFormulaEntries:
     def test_uhat_default_euler_number(self):
         t = catalog_table("Uhat_S2", Perversity.lower_middle(4), "Z3")

@@ -1,5 +1,7 @@
 """Simplicial complexes, stratifications, and constructions."""
 
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -26,6 +28,7 @@ from ihcalc.simplicial import (
     stratum_components,
     suspension,
     verify_pseudomanifold,
+    vertex_ranks,
 )
 from ihcalc import catalog
 from ihcalc.catalog import catalog_build
@@ -425,6 +428,57 @@ class TestSubdivision:
             assert a.as_dict() == b.as_dict()
 
 
+def reference_subdivision(K):
+    """The barycentric subdivision with nested labels: each vertex is the
+    simplex of K it stands for, each facet a flag of faces of a facet."""
+    return SimplicialComplex.from_maximal(
+        [[frozenset(perm[:k]) for k in range(1, len(perm) + 1)]
+         for f in K.facets() for perm in permutations(f)])
+
+
+def reference_stratified_subdivision(X):
+    """Each skeleton subdivided on its own, its vertices named like those
+    of the whole subdivision."""
+    sd = reference_subdivision(X.complex)
+    rank = vertex_ranks(sd)
+    skeleta = [reference_subdivision(X.skeleton(i)).relabel(rank) for i in range(X.n)]
+    return StratifiedComplex(sd.relabel(rank), skeleta + [sd.relabel(rank)], X.n)
+
+
+# vertex labels of three kinds; str and tuple labels order the vertices
+# otherwise than the integers do
+LABELS = {"int": lambda v: v, "str": str, "tuple": lambda v: (v % 3, -v)}
+
+small_complexes = st.lists(st.frozensets(st.integers(0, 6), min_size=1, max_size=4),
+                           min_size=1, max_size=8).map(SimplicialComplex.from_maximal)
+
+
+class TestSubdivisionMatchesReference:
+    @settings(max_examples=100, deadline=None)
+    @given(small_complexes, st.sampled_from(sorted(LABELS)))
+    def test_random_complexes(self, K, kind):
+        K = K.relabel({v: LABELS[kind](v) for v in K.vertices})
+        assert barycentric_subdivision(K) == relabel_canonical(reference_subdivision(K))
+
+    @pytest.mark.parametrize("name", ["cone_RP2", "S_RP2", "SS_RP2", "S_T2"])
+    def test_catalog_skeleta(self, name):
+        X = catalog_build(name)
+        assert barycentric_subdivision(X) == reference_stratified_subdivision(X)
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_complexes, st.data())
+    def test_random_skeleta(self, K, data):
+        # each skeleton the closure of some simplices of the one above
+        skeleta = [K]
+        for i in range(K.dimension - 1, -1, -1):
+            pool = sorted((s for s in skeleta[0].all_simplices() if len(s) <= i + 1),
+                          key=simplex_key)
+            chosen = data.draw(st.lists(st.sampled_from(pool), max_size=6)) if pool else []
+            skeleta.insert(0, SimplicialComplex.from_maximal(chosen))
+        X = StratifiedComplex(K, skeleta, K.dimension)
+        assert barycentric_subdivision(X) == reference_stratified_subdivision(X)
+
+
 class TestQuotientAndStrata:
     def test_complex_above_formal_dimension_rejected(self):
         # a filled triangle given formal dimension 1
@@ -454,24 +508,22 @@ class _Glued(Exception):
     """Stops a catalog build at its quotient; args are (K, glue)."""
 
 
-def _depth(K):
-    """How many raw subdivisions K's vertex labels have been through."""
-    v, n = next(iter(K.vertices)), 0
-    while isinstance(v, frozenset):
-        v, n = next(iter(v)), n + 1
-    return n
-
-
 def glued(name, monkeypatch, rounds=None):
     """(K, glue) that a glued catalog build hands to `quotient`; with
-    `rounds`, the build subdivides at most that many times."""
+    `rounds`, the build subdivides at most that many times: the calls of
+    `_subdivide` after the first `rounds` hand their input back."""
     def stop(K, glue):
         raise _Glued(K, glue)
 
     monkeypatch.setattr(catalog, "quotient", stop)
     if rounds is not None:
-        sd = catalog._sd_raw
-        monkeypatch.setattr(catalog, "_sd_raw", lambda K: sd(K) if _depth(K) < rounds else K)
+        calls, subdivide = [], catalog._subdivide
+
+        def counted(K, glue):
+            calls.append(K)
+            return subdivide(K, glue) if len(calls) <= rounds else (K, glue)
+
+        monkeypatch.setattr(catalog, "_subdivide", counted)
     with pytest.raises(_Glued) as info:
         catalog.catalog_entry(name).build()
     return info.value.args
@@ -496,7 +548,7 @@ def orbit_counts(name, K, glue):
         [{i, (i + 1) % p} for i in range(p)],
     )]
     for _ in range(2):
-        caps = [catalog._sd_raw(C) for C in caps]
+        caps = [barycentric_subdivision(C) for C in caps]
     top, bottom, equator = caps
     out = []
     for d in dims:
@@ -504,6 +556,23 @@ def orbit_counts(name, K, glue):
         assert e % p == 0
         out.append((len(K.faces(d)) - t - b + e) + (t - e) + e // p)
     return out
+
+
+def reference_lens_gluing(p):
+    """(K, glue) for L(p,1) as the nested labels gave it: the bipyramid
+    and its top cap subdivided twice, the twist lifted label by label,
+    then every label replaced by its canonical rank."""
+    N, S = "N", "S"
+    K = SimplicialComplex.from_maximal([{N, S, i, (i + 1) % p} for i in range(p)])
+    top = SimplicialComplex.from_maximal([{N, i, (i + 1) % p} for i in range(p)])
+    for _ in range(2):
+        K, top = reference_subdivision(K), reference_subdivision(top)
+
+    def lift(y):
+        return frozenset(map(lift, y)) if isinstance(y, frozenset) else S if y == N else (y + 1) % p
+
+    rank = vertex_ranks(K)
+    return K.relabel(rank), {rank[v]: rank[lift(v)] for v in top.vertices}
 
 
 def reference_quotient(K, glue):
@@ -596,6 +665,10 @@ class TestQuotientCertificate:
         assert list(counts) == orbit_counts(name, K, glue)
         if name == "CP2":
             assert counts == (333, 3870, 12180, 14400, 5760)
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_induced_map_is_the_nested_lift(self, p, monkeypatch):
+        assert glued(f"L{p}_1", monkeypatch) == reference_lens_gluing(p)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -719,19 +792,24 @@ def quotient_inputs(name, monkeypatch):
 
 
 class TestContractionMatchesReference:
-    @pytest.mark.parametrize("name", ["L2_1", "L3_1", "L5_1"])
+    @pytest.mark.parametrize("name", ["L2_1", "L3_1", "L5_1", "CP2"])
     def test_quotient_inputs(self, name, monkeypatch):
         K = quotient_inputs(name, monkeypatch)
         small = contract_edges(K)
         assert small == reference_contract_edges(K)
         assert small.f_vector() < K.f_vector()
+        if name == "CP2":
+            assert K.f_vector() == (333, 3870, 12180, 14400, 5760)
 
     @pytest.mark.parametrize("label", [
         lambda v: (v % 3, -v),
         lambda v: frozenset({v % 4, 100 + v}),
-    ], ids=["tuple", "frozenset"])
+        lambda v: 7 * v + 3,
+        lambda v: 37 * v % 1009,
+    ], ids=["tuple", "frozenset", "gaps", "scattered-gaps"])
     def test_relabelled_torus(self, label):
-        # labels whose canonical order is not the integer order
+        # labels whose canonical order is not the integer order, and
+        # integer labels with gaps, as a quotient leaves them
         sd = barycentric_subdivision(catalog_build("T2").complex)
         K = sd.relabel({v: label(v) for v in sd.vertices})
         small = contract_edges(K)
