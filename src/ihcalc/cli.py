@@ -114,9 +114,17 @@ def _json_int(v):
     return int(v)
 
 
+def _json_list(v, what):
+    """A JSON array; a string or an object is refused, not iterated."""
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a JSON array")
+    return v
+
+
 def _simplices(gens, i):
     """Vertex sets from JSON lists, each of dimension at most i."""
-    out = [frozenset(_json_int(v) for v in s) for s in gens]
+    out = [frozenset(_json_int(v) for v in _json_list(s, "a simplex"))
+           for s in _json_list(gens, "a list of simplices")]
     if any(len(s) > i + 1 for s in out):
         raise ValueError(f"a simplex has dimension above {i}")
     return out
@@ -150,7 +158,7 @@ def load_space_file(path):
             i = int(key)
             if not 0 <= i <= n:
                 raise ValueError(f"skeleton key {key!r} is outside 0..{n}")
-            skel_map[i] = SimplicialComplex.from_maximal(_simplices(gens or (), i))
+            skel_map[i] = SimplicialComplex.from_maximal(_simplices([] if gens is None else gens, i))
         return StratifiedComplex.from_skeleton_map(build_complex(maximal), skel_map, n)
     except (KeyError, TypeError, ValueError, SimplicialError) as e:
         raise CliError(f"bad space file {path}: {e}", EXIT_PARSE)
@@ -281,7 +289,9 @@ def load_gram_matrix(path_or_spec, field):
     doc = _read_json(path_or_spec, "matrix")
     try:
         n = _json_int(doc["dimension"])
-        flat = [_parse_gram_entry(e, field) for e in doc["entries"]]
+        if n < 0:
+            raise ValueError(f"dimension {n} is negative")
+        flat = [_parse_gram_entry(e, field) for e in _json_list(doc["entries"], "entries")]
         if len(flat) != n * n:
             raise ValueError(f"need {n * n} entries, got {len(flat)}")
         rows = [flat[i * n:(i + 1) * n] for i in range(n)]

@@ -71,7 +71,21 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Rationals:
+class _Ring:
+    """A coefficient ring is known by its label: rings of one class with
+    the same label are equal, and the label is the hash and the repr."""
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.label == self.label
+
+    def __hash__(self):
+        return hash(self.label)
+
+    def __repr__(self):
+        return self.label
+
+
+class Rationals(_Ring):
     """The field Q.  Elements are Fraction instances."""
 
     label = "Q"
@@ -100,17 +114,8 @@ class Rationals:
     def from_int(self, n):
         return Fraction(n)
 
-    def __eq__(self, other):
-        return isinstance(other, Rationals)
 
-    def __hash__(self):
-        return hash("Q")
-
-    def __repr__(self):
-        return "Q"
-
-
-class Integers:
+class Integers(_Ring):
     """The ring Z.  Not a field; rank/kernel ops reject it."""
 
     label = "Z"
@@ -122,17 +127,8 @@ class Integers:
     def from_int(self, n):
         return n
 
-    def __eq__(self, other):
-        return isinstance(other, Integers)
 
-    def __hash__(self):
-        return hash("Z")
-
-    def __repr__(self):
-        return "Z"
-
-
-class PrimeField:
+class PrimeField(_Ring):
     """Z_p for a prime p.  Elements are ints in [0, p)."""
 
     def __init__(self, p: int):
@@ -171,15 +167,6 @@ class PrimeField:
 
     def elements(self):
         return range(self.p)
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Zp", self.p))
-
-    def __repr__(self):
-        return f"Z{self.p}"
 
 
 def _poly_mulmod(a, b, modulus, p):
@@ -251,7 +238,7 @@ def _digits_to_int(digits, p):
     return value
 
 
-class FiniteField:
+class FiniteField(_Ring):
     """F_{p^m} presented as Z_p[x]/(modulus), with the modulus given by
     `smallest_irreducible`.
 
@@ -358,23 +345,8 @@ class FiniteField:
             raise CoefficientError("too many coefficients")
         return _digits_to_int(c + (0,) * (self.m - len(c)), self.p)
 
-    def generator(self):
-        """The class of x."""
-        return self.from_coeffs((0, 1))
-
     def elements(self):
         return range(self.order)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteField)
-            and other.p == self.p
-            and other.m == self.m
-            and other.modulus == self.modulus
-        )
-
-    def __hash__(self):
-        return hash(("Fq", self.p, self.m, self.modulus))
 
     def __repr__(self):
         return f"F{self.order}"

@@ -46,7 +46,6 @@ from .simplicial import (
     StratifiedComplex,
     check_full_skeleta,
     simplicial_link,
-    sorted_vertices,
     stratum_components,
     vertex_ranks,
 )
@@ -131,26 +130,6 @@ class Perversity:
         return f"Perversity({self.values}, n={self.n})"
 
 
-def middle_perversities(n):
-    if n < 2:
-        raise PerversityError("middle perversities need dimension >= 2")
-    return Perversity.lower_middle(n), Perversity.upper_middle(n)
-
-
-def allowable(s, i, pbar, X: StratifiedComplex):
-    """Allowability of an i-simplex: its intersection with each skeleton
-    X^(n-k) must have dimension at most i - k + p(k).  An empty
-    intersection satisfies every bound."""
-    s = frozenset(s)
-    if len(s) - 1 != i:
-        raise PerversityError(f"simplex has dimension {len(s) - 1}, not {i}")
-    return all(
-        c == 0 or c - 1 <= i - k + pbar(k)
-        for k, verts in _skeleton_vertex_sets(X)
-        for c in [len(verts & s)]
-    )
-
-
 def _skeleton_vertex_sets(X):
     """(k, vertices of X^(n-k)) for each nonempty X^(n-k), k = 2..n;
     counting vertices needs full skeleta (`check_full_skeleta`)."""
@@ -164,21 +143,14 @@ def _skeleton_vertex_sets(X):
     return out
 
 
-def boundary_chain(s):
-    """Signed boundary of a simplex: list of (face, sign) with the usual
-    alternating signs for the sorted vertex ordering."""
-    vs = sorted_vertices(s)
-    return [(s - {v}, (-1) ** j) for j, v in enumerate(vs)]
-
-
 def _not_allowable(simplices, i, pbar, bounds):
     """The set of those `simplices`, i-simplices as rank tuples, that are
-    not allowable (see `allowable`) for the skeleton vertex sets
-    `bounds`, in rank form.  An allowable simplex has at most
-    i - k + p(k) + 1 vertices in X^(n-k): a skeleton whose bound exceeds
-    i is skipped, skeleta with the same vertices are tested once, at the
-    least bound, and vertices are counted only in the simplices that
-    meet the skeleton."""
+    not allowable for the skeleton vertex sets `bounds`, in rank form.
+    An allowable simplex meets each X^(n-k) in dimension at most
+    i - k + p(k), so in at most i - k + p(k) + 1 vertices: a skeleton
+    whose bound exceeds i is skipped, skeleta with the same vertices
+    are tested once, at the least bound, and vertices are counted only
+    in the simplices that meet the skeleton."""
     most = {}
     for k, verts in bounds:
         m = i - k + pbar(k) + 1
@@ -198,8 +170,8 @@ def _boundary(allowed, faces, i, skip, bad):
     `skip`, in order.  The row of a face is its position in `faces`,
     plus len(faces) at the positions `bad`, so that those rows come
     after every other.  `combinations(t, i)` lists the faces of t
-    leaving out t[i], t[i - 1], ..., t[0]: the k-th has the sign
-    (-1)^(i - k) of `boundary_chain`."""
+    leaving out t[i], t[i - 1], ..., t[0]: the k-th has the alternating
+    sign (-1)^(i - k) of the vertex it leaves out."""
     row = {f: r for r, f in enumerate(faces)}
     for r in bad:
         row[faces[r]] += len(faces)

@@ -20,6 +20,7 @@ from .exactalg import (
     coeff_from_label,
     is_square,
     make_field,
+    prime_field,
     smallest_nonsquare,
 )
 from .ihcore import AbelianGroup, Perversity, link_tables, stratum_links
@@ -218,10 +219,6 @@ def _class_field(label):
         raise WittError(str(e)) from None
 
 
-def witt_identity(field):
-    return witt_invariants(BilinearForm([], field))
-
-
 @dataclass(frozen=True)
 class WittGroupDescr:
     field_label: str
@@ -358,7 +355,10 @@ def witt_condition_checks(X: StratifiedComplex, coeffs, check_all_links=False,
     `ihcore.link_tables`, of every stratum component of odd codimension
     c >= 3, walked with the stratum dimension ascending.  X is verified,
     unless `report` is its `verify_pseudomanifold` report already, and
-    its strata and links are found, once for all the fields.  Raises
+    its strata and links are found, once for all the fields.  Fields of
+    one characteristic share their link tables, taken once per distinct
+    link in the prime field (`exactalg.prime_field`): a report reads
+    only dimensions, and over F_{p^m} they are those over Z_p.  Raises
     WittError on Z, before any work, and, naming what fails, on a
     non-pseudomanifold."""
     if any(isinstance(coeff, Integers) for coeff in coeffs):
@@ -370,10 +370,13 @@ def witt_condition_checks(X: StratifiedComplex, coeffs, check_all_links=False,
     odd = range(n - 1 + n % 2, 2, -2)
     mbar = Perversity.lower_middle(n)
     links = stratum_links(X, odd, check_all_links)
-    reports = []
+    shared, reports = {}, []
     for coeff in coeffs:
+        prime = prime_field(coeff)
+        if prime not in shared:
+            shared[prime] = list(link_tables(links, mbar, prime))
         checks = []
-        for c, comp, tables in link_tables(links, mbar, coeff):
+        for c, comp, tables in shared[prime]:
             k = (c - 1) // 2
             dims = [t.dim(k) for t in tables]
             checks.append(
@@ -398,14 +401,11 @@ def witt_condition_checks(X: StratifiedComplex, coeffs, check_all_links=False,
 
 def characteristic_reduction_check(X, p, m):
     """The Witt verdict must not see the difference between the prime
-    field and its extensions; true when the per-stratum verdicts agree."""
-    base = witt_condition_check(X, PrimeField(p))
-    ext = witt_condition_check(X, make_field(p, m))
-    if len(base.checks) != len(ext.checks):
-        return False
-    return all(
-        a.passes == b.passes for a, b in zip(base.checks, ext.checks)
-    )
+    field and its extensions; true when the per-stratum verdicts agree.
+    One `witt_condition_checks` call makes both reports, so they share
+    one verification, one stratum walk and their link tables."""
+    base, ext = witt_condition_checks(X, [PrimeField(p), make_field(p, m)])
+    return [c.passes for c in base.checks] == [c.passes for c in ext.checks]
 
 
 def bordism_group(n, p) -> AbelianGroup:

@@ -4,7 +4,10 @@ an xgcd lattice routine that the package does not use.  The tests hold
 its answers against the package's one elimination (`kernel_image`);
 `tests/test_source.py` checks that none of it is defined in the package
 again.  `stream_matrix` turns the columns the package's boundaries are
-streamed as back into an `ExactMatrix`, entry for entry."""
+streamed as back into an `ExactMatrix`, entry for entry.  `allowable`
+and `boundary_chain` are the simplex-by-simplex references that the
+chain assembly (`_ChainData`, `_not_allowable`, `_boundary`) is checked
+against."""
 
 from dataclasses import dataclass
 from fractions import Fraction
@@ -16,7 +19,8 @@ from ihcalc.exactalg import (
     Integers,
     prime_field,
 )
-from ihcalc.ihcore import PerversityError, _ChainData, _boundary
+from ihcalc.ihcore import PerversityError, _ChainData, _boundary, _skeleton_vertex_sets
+from ihcalc.simplicial import StratifiedComplex, sorted_vertices
 
 
 def col_dicts(A):
@@ -48,6 +52,27 @@ def boundary_matrix(data, i):
     faces, allowed = data.faces[i - 1], data.allowed[i]
     columns = _boundary(allowed, faces, i, (), data.bad[i])
     return stream_matrix(columns, len(faces), len(allowed))
+
+
+def allowable(s, i, pbar, X: StratifiedComplex):
+    """Allowability of an i-simplex: its intersection with each skeleton
+    X^(n-k) must have dimension at most i - k + p(k).  An empty
+    intersection satisfies every bound."""
+    s = frozenset(s)
+    if len(s) - 1 != i:
+        raise PerversityError(f"simplex has dimension {len(s) - 1}, not {i}")
+    return all(
+        c == 0 or c - 1 <= i - k + pbar(k)
+        for k, verts in _skeleton_vertex_sets(X)
+        for c in [len(verts & s)]
+    )
+
+
+def boundary_chain(s):
+    """Signed boundary of a simplex: list of (face, sign) with the usual
+    alternating signs for the sorted vertex ordering."""
+    vs = sorted_vertices(s)
+    return [(s - {v}, (-1) ** j) for j, v in enumerate(vs)]
 
 
 def _sub_multiple(x, f, y, p):

@@ -174,3 +174,19 @@ def test_runs_use_no_bytecode_cache(tmp_path, capsys, monkeypatch):
     # no bytecode is written, no cache prefix hides the standard
     # library's cache, and src/ holds no cache when each run starts
     assert runs == [["1", None, []]] * 4
+
+
+@pytest.mark.parametrize("last_line, why", [
+    ('print("not json")', "JSONDecodeError"),
+    ('print(json.dumps({"attempted": 1, "metrics": {}}))', "KeyError"),
+    ('print(json.dumps([1, 2]))', "TypeError"),
+])
+def test_a_malformed_result_is_an_error_line(tmp_path, capsys, last_line, why):
+    # run.py exits 0, but its last line is not a result object
+    a = stub_checkout(tmp_path / "a", 3.0)
+    b = stub_checkout(tmp_path / "b", 2.0)
+    (tmp_path / "b" / "perfbench" / "run.py").write_text(f"import json\n{last_line}\n")
+    assert ab_bench.main([a, b, "--workload", "prebuilt", "--pairs", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {b}: the last line is not a result")
+    assert why in err and "Traceback" not in err

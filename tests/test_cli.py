@@ -177,6 +177,34 @@ class TestExitCodes:
         assert main(["compute", "--space", str(p), "--coeff", "Q"]) == 2
         assert "dimension above" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc, what", [
+        # the strings used to be read as the triangles 012, 023, ...
+        ({"dimension": 2, "maximal_simplices": ["012", "023", "013", "123"]},
+         "a simplex must be a JSON array"),
+        # and this one as four points
+        ({"dimension": 2, "maximal_simplices": "0123"},
+         "a list of simplices must be a JSON array"),
+        ({"dimension": 2, "maximal_simplices": {"0": [0, 1, 2]}},
+         "a list of simplices must be a JSON array"),
+        ({**SUSP_S1, "skeleta": {"0": "34"}}, "a list of simplices must be a JSON array"),
+        ({**SUSP_S1, "skeleta": {"0": ["3", "4"]}}, "a simplex must be a JSON array"),
+    ])
+    def test_simplices_must_be_arrays(self, tmp_path, capsys, doc, what):
+        p = json_file(tmp_path, doc, "strings.json")
+        assert main(["compute", "--space", p, "--coeff", "Q"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad space file {p}: {what}\n"
+        assert not captured.out
+
+    def test_null_skeleton_stays_empty(self, tmp_path, capsys):
+        # a null skeleton is the empty one, as an empty list is
+        tables = []
+        for gens in (None, []):
+            p = json_file(tmp_path, {**SUSP_S1, "skeleta": {"0": gens}}, "null.json")
+            assert main(["compute", "--space", p, "--json"]) == 0
+            tables.append(json.loads(capsys.readouterr().out)["table"])
+        assert tables[0] == tables[1]
+
     def test_dimension_above_the_bound(self, tmp_path, capsys):
         # one 29-simplex would list 2^30 faces
         p = tmp_path / "d29.json"
@@ -433,6 +461,20 @@ class TestWittClass:
         f = json_file(tmp_path, {"dimension": 1, "entries": [entry]})
         assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("doc, what", [
+        # the string used to be read as the matrix [[5]]
+        ({"dimension": 1, "entries": "5"}, "entries must be a JSON array"),
+        ({"dimension": 1, "entries": {"0": "5"}}, "entries must be a JSON array"),
+        # and this as the empty form, the trivial class
+        ({"dimension": -1, "entries": ["5"]}, "dimension -1 is negative"),
+    ])
+    def test_malformed_matrix_file(self, tmp_path, capsys, doc, what):
+        f = json_file(tmp_path, doc)
+        assert main(["witt-class", "--matrix", f, "--field", "Zp:3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: bad matrix file {f}: {what}\n"
+        assert not captured.out
 
     @pytest.mark.parametrize("spec", ["I1001", "I01001", "I" + "9" * 5000])
     def test_identity_above_the_bound(self, monkeypatch, capsys, spec):

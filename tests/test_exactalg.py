@@ -17,6 +17,7 @@ from ihcalc.exactalg import (
     RATIONALS,
     _poly_mulmod,
     SNFResult,
+    coeff_from_label,
     is_prime,
     is_square,
     kernel_image,
@@ -28,12 +29,13 @@ from ihcalc.exactalg import (
     smith_normal_form,
 )
 from ihcalc.catalog import catalog_build
-from ihcalc.ihcore import Perversity, _ChainData, _boundary, boundary_chain
+from ihcalc.ihcore import Perversity, _ChainData, _boundary
 from ihcalc.simplicial import simplex_key
 from lattice_reference import (
     _echelon,
     _row_block,
     _xgcd,
+    boundary_chain,
     boundary_matrix,
     col_dicts,
     integer_kernel_basis,
@@ -80,7 +82,7 @@ class TestFiniteFields:
 
     def test_f9_generator_squares_to_minus_one(self):
         F9 = make_field(3, 2)
-        x = F9.generator()
+        x = F9.from_coeffs((0, 1))
         assert F9.mul(x, x) == F9.from_int(2)
 
     def test_f4_modulus(self):
@@ -125,7 +127,7 @@ class TestFiniteFields:
         assert not tables & set(vars(make_field(2, 16)))
         F9 = make_field(3, 2)
         assert not tables & set(vars(F9))
-        assert F9.add(F9.generator(), F9.one) == F9.from_coeffs((1, 1))
+        assert F9.add(F9.from_coeffs((0, 1)), F9.one) == F9.from_coeffs((1, 1))
         assert tables <= set(vars(F9))
 
     @pytest.mark.parametrize("p, m", [(2, 17), (257, 2), (2, 64), (3, 10**9)])
@@ -208,6 +210,29 @@ def test_field_arithmetic_matches_polynomial_reference(case):
     else:
         with pytest.raises(ZeroDivisionError):
             F.inv(a)
+
+
+class TestRingIdentity:
+    """A coefficient ring is known by its label."""
+
+    RINGS = {"Q": "Q", "Z": "Z", "Z2": "Z2", "Z3": "Z3",
+             f"Z{2**61 - 1}": f"Z{2**61 - 1}", "F2^2": "F4", "F3^2": "F9", "F5^2": "F25"}
+
+    @pytest.mark.parametrize("label", sorted(RINGS))
+    def test_the_label_gives_the_ring_back(self, label):
+        r = coeff_from_label(label)
+        again = coeff_from_label(r.label)
+        assert r.label == label and repr(r) == self.RINGS[label]
+        assert again == r and hash(again) == hash(r) == hash(label)
+        assert {r: 1}[again] == 1
+        assert r != label and not r != again
+
+    def test_rings_of_one_characteristic_are_told_apart(self):
+        rings = [coeff_from_label(label) for label in self.RINGS] + [FiniteField(3, 1)]
+        assert repr(FiniteField(3, 1)) == "F3"
+        for a, b in combinations(rings, 2):
+            assert a != b, (a, b)
+        assert len(set(rings)) == len(rings)
 
 
 class TestSquares:

